@@ -16,9 +16,10 @@ bookkeeping:
   the ``lam^m`` equation and ``lam^m`` in the ``eta^m`` equation - and the
   ``lam`` equation contains the transposed convection ``-kappa grad lam .
   grad v``, which is not symmetric.  Both couplings are resolved by the
-  same device the forward solver uses: a per-level fixed point that lags
-  them one inner sweep, leaving only symmetric positive definite solves
-  for CG.  At convergence the coupled equations hold exactly.
+  forward solver's own loop, `kscontrol.forward.coupled_fixed_point`,
+  which lags them one inner sweep and leaves only shifted Laplacians for
+  `kscontrol.linalg.solve_shifted`.  At convergence the coupled equations
+  hold exactly.
 
 Backward from the zero terminal pair, step ``m`` solves (all coefficients
 at level ``m+1``, ``w`` the trapezoid weight of level ``m+1``)
@@ -52,11 +53,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mesh
+from . import linalg, mesh
 from .control import ControlField, CostWeights, TrackingTargets
 from .errors import PicardDivergenceError, StepConditioningError
-from .forward import ModelParams, PicardSettings, StateTrajectory, TimeGrid
-from .linalg import DEFAULT_CG_TOL, solve_cg
+from .forward import (
+    ModelParams,
+    PicardSettings,
+    StateTrajectory,
+    TimeGrid,
+    coupled_fixed_point,
+)
+from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, Scheme
 
 
@@ -73,21 +80,29 @@ class AdjointTrajectory:
     eta: list[Field2D]
 
 
-def _check_lambda_shift(inv_tau: float, react: np.ndarray, tau: float) -> None:
-    if inv_tau + float(react.min()) <= 0.0:
+def check_eta_shift(f_vals: np.ndarray, tau: float) -> None:
+    """Raise `StepConditioningError` unless ``1/tau + 1 - f > 0`` for every
+    control value, the condition for the dual signal solve to be SPD."""
+    if 1.0 / tau + 1.0 - float(f_vals.max()) <= 0.0:
+        raise StepConditioningError(
+            f"dual signal equation loses definiteness at tau = {tau:g}: "
+            "1/tau + 1 - f must stay positive; reduce the time step or the control"
+        )
+
+
+def _dual_coefficients(u_new: np.ndarray, f_now: np.ndarray, params: ModelParams, tau: float):
+    """``u_+``, the reaction ``2 mu u_+ - r`` and the signal shift ``1/tau + 1 - f``
+    of one dual or linearized step, after checking both solves stay SPD."""
+    upos = np.maximum(u_new, 0.0)
+    react = 2.0 * params.mu * upos - params.r
+    if 1.0 / tau + float(react.min()) <= 0.0:
         raise StepConditioningError(
             f"dual density equation loses definiteness at tau = {tau:g}: "
             "the reaction shift 1/tau - r + 2 mu u_+ must stay positive; "
             "reduce the time step"
         )
-
-
-def _check_eta_shift(inv_tau: float, f_vals: np.ndarray, tau: float) -> None:
-    if inv_tau + 1.0 - float(f_vals.max()) <= 0.0:
-        raise StepConditioningError(
-            f"dual signal equation loses definiteness at tau = {tau:g}: "
-            "1/tau + 1 - f must stay positive; reduce the time step or the control"
-        )
+    check_eta_shift(f_now, tau)
+    return upos, react, 1.0 / tau + 1.0 - f_now
 
 
 def step_adjoint(
@@ -128,19 +143,7 @@ def step_adjoint(
     hx, hy = grid.hx, grid.hy
     inv_tau = 1.0 / tau
 
-    upos = np.maximum(u_new.values, 0.0)
-    react = 2.0 * params.mu * upos - params.r
-    _check_lambda_shift(inv_tau, react, tau)
-    _check_eta_shift(inv_tau, f_now.values, tau)
-
-    lap_diag = mesh.laplacian_diag(grid)
-    shift_eta = inv_tau + 1.0 - f_now.values
-
-    def apply_lam(x: np.ndarray) -> np.ndarray:
-        return inv_tau * x - mesh.laplacian_array(x, hx, hy) + react * x
-
-    def apply_eta(x: np.ndarray) -> np.ndarray:
-        return shift_eta * x - mesh.laplacian_array(x, hx, hy)
+    upos, react, shift_eta = _dual_coefficients(u_new.values, f_now.values, params, tau)
 
     rhs_lam_base = lambda_next.values * inv_tau
     if weights.gamma_u != 0.0:
@@ -153,41 +156,28 @@ def step_adjoint(
             tracking_weight * weights.gamma_v * (v_new.values - v_d.values)
         )
 
-    lam_bar = lambda_next.values
-    eta_bar = eta_next.values
-    increment = np.inf
-    for _ in range(settings.max_iters):
+    def sweep(lam_bar: np.ndarray, eta_bar: np.ndarray):
         rhs_eta = rhs_eta_base
         if params.kappa != 0.0:
             rhs_eta = rhs_eta - params.kappa * mesh.weighted_diffusion_arrays(
                 upos, lam_bar, v_new.values, hx, hy, scheme
             )
-        eta_now = solve_cg(apply_eta, rhs_eta, shift_eta + lap_diag,
-                           rtol=cg_tol, x0=eta_bar)
+        eta_now = linalg.solve_shifted(grid, shift_eta, rhs_eta, rtol=cg_tol, x0=eta_bar)
 
         rhs_lam = rhs_lam_base + eta_now
         if params.kappa != 0.0:
             rhs_lam = rhs_lam - params.kappa * mesh.chemotaxis_adjoint_arrays(
                 lam_bar, v_new.values, hx, hy, scheme
             )
-        lam_now = solve_cg(apply_lam, rhs_lam, inv_tau + lap_diag + react,
-                           rtol=cg_tol, x0=lam_bar)
+        lam_now = linalg.solve_shifted(grid, inv_tau, rhs_lam, reaction=react,
+                                       rtol=cg_tol, x0=lam_bar)
+        return lam_now, eta_now
 
-        area = grid.cell_area
-        increment = max(
-            mesh.l2_norm_array(lam_now - lam_bar, area)
-            / max(mesh.l2_norm_array(lam_now, area), 1e-30),
-            mesh.l2_norm_array(eta_now - eta_bar, area)
-            / max(mesh.l2_norm_array(eta_now, area), 1e-30),
-        )
-        lam_bar, eta_bar = lam_now, eta_now
-        if increment < settings.tol:
-            return Field2D(grid, lam_now), Field2D(grid, eta_now)
-    raise PicardDivergenceError(
-        f"dual fixed point stalled after {settings.max_iters} sweeps "
-        f"(last relative increment {increment:.3e})",
-        last_increment=increment,
+    (lam, eta), _, _ = coupled_fixed_point(
+        sweep, (lambda_next.values, eta_next.values), settings, grid.cell_area,
+        "dual fixed point",
     )
+    return Field2D(grid, lam), Field2D(grid, eta)
 
 
 def solve_adjoint(
@@ -277,8 +267,6 @@ def solve_linearized_dual(
         raise ValueError(f"need one source per step: expected {nt} levels")
     inv_tau = 1.0 / tau
     hx, hy = grid.hx, grid.hy
-    lap_diag = mesh.laplacian_diag(grid)
-    area = grid.cell_area
 
     U: list[Field2D] = []
     V: list[Field2D] = []
@@ -286,59 +274,34 @@ def solve_linearized_dual(
     v_prev = np.zeros((grid.nx, grid.ny))
 
     for m in range(nt):
-        u_new = state.u[m + 1]
-        v_new = state.v[m + 1]
-        f_now = control.field_at(m)
-        upos = np.maximum(u_new.values, 0.0)
-        react = 2.0 * params.mu * upos - params.r
-        _check_lambda_shift(inv_tau, react, tau)
-        _check_eta_shift(inv_tau, f_now.values, tau)
-        shift_v = inv_tau + 1.0 - f_now.values
-
-        def apply_u(x: np.ndarray) -> np.ndarray:
-            return inv_tau * x - mesh.laplacian_array(x, hx, hy) + react * x
-
-        def apply_v(x: np.ndarray) -> np.ndarray:
-            return shift_v * x - mesh.laplacian_array(x, hx, hy)
-
+        v_new = state.v[m + 1].values
+        upos, react, shift_v = _dual_coefficients(
+            state.u[m + 1].values, control.field_at(m).values, params, tau
+        )
         rhs_u_base = source_u[m].values + u_prev * inv_tau
         rhs_v_base = source_v[m].values + v_prev * inv_tau
 
-        u_bar = u_prev
-        v_bar = v_prev
-        increment = np.inf
-        done = False
-        for _ in range(settings.max_iters):
+        def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
             rhs_u = rhs_u_base
             if params.kappa != 0.0:
                 rhs_u = rhs_u - params.kappa * (
-                    mesh.chemotaxis_divergence_arrays(u_bar, v_new.values, hx, hy, scheme)
-                    + mesh.weighted_diffusion_arrays(upos, v_bar, v_new.values, hx, hy, scheme)
+                    mesh.chemotaxis_divergence_arrays(u_bar, v_new, hx, hy, scheme)
+                    + mesh.weighted_diffusion_arrays(upos, v_bar, v_new, hx, hy, scheme)
                 )
-            u_lin = solve_cg(apply_u, rhs_u, inv_tau + lap_diag + react,
-                             rtol=cg_tol, x0=u_bar)
-            rhs_v = rhs_v_base + u_lin
-            v_lin = solve_cg(apply_v, rhs_v, shift_v + lap_diag, rtol=cg_tol, x0=v_bar)
-            increment = max(
-                mesh.l2_norm_array(u_lin - u_bar, area)
-                / max(mesh.l2_norm_array(u_lin, area), 1e-30),
-                mesh.l2_norm_array(v_lin - v_bar, area)
-                / max(mesh.l2_norm_array(v_lin, area), 1e-30),
+            u_lin = linalg.solve_shifted(grid, inv_tau, rhs_u, reaction=react,
+                                         rtol=cg_tol, x0=u_bar)
+            v_lin = linalg.solve_shifted(grid, shift_v, rhs_v_base + u_lin,
+                                         rtol=cg_tol, x0=v_bar)
+            return u_lin, v_lin
+
+        try:
+            (u_prev, v_prev), _, _ = coupled_fixed_point(
+                sweep, (u_prev, v_prev), settings, grid.cell_area, "linearized fixed point",
             )
-            u_bar, v_bar = u_lin, v_lin
-            if increment < settings.tol:
-                done = True
-                break
-        if not done:
-            err = PicardDivergenceError(
-                f"linearized fixed point stalled after {settings.max_iters} sweeps "
-                f"(last relative increment {increment:.3e})",
-                last_increment=increment,
-            )
+        except PicardDivergenceError as err:
             err.time_index = m
-            raise err
-        U.append(Field2D(grid, u_bar))
-        V.append(Field2D(grid, v_bar))
-        u_prev, v_prev = u_bar, v_bar
+            raise
+        U.append(Field2D(grid, u_prev))
+        V.append(Field2D(grid, v_prev))
 
     return U, V

@@ -11,12 +11,15 @@ growth, and the control ``f`` acts multiplicatively on ``v`` inside the
 control region ``C``.
 
 Time discretization is backward Euler with a per-step Picard (fixed-point)
-loop: each sweep freezes the positive parts of the previous iterate pair,
-solves the ``v`` equation, then the ``u`` equation, both by preconditioned
-CG.  At convergence the step is fully implicit.  Freezing *positive parts*
-rather than raw iterates keeps every lagged coefficient nonnegative, which
-is what makes the two matrices positive definite and (with the upwind flux)
-the step nonnegativity-preserving for nonnegative data.
+loop, `coupled_fixed_point`: each sweep freezes the positive parts of the
+previous iterate pair, solves the ``v`` equation, then the ``u`` equation,
+both shifted Laplacians handed to `kscontrol.linalg.solve_shifted`.  The
+dual and linearized steppers in `kscontrol.adjoint` reuse the same loop and
+the same solve.  At convergence the step is fully implicit.  Freezing
+*positive parts* rather than raw iterates keeps every lagged coefficient
+nonnegative, which is what makes the two matrices positive definite and
+(with the upwind flux) the step nonnegativity-preserving for nonnegative
+data.
 
 Summing the ``u`` update over all cells eliminates the divergence terms
 exactly (conservative stencils), leaving the discrete mass identity
@@ -37,10 +40,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import mesh
+from . import linalg, mesh
 from .control import ControlField
 from .errors import PicardDivergenceError
-from .linalg import DEFAULT_CG_TOL, solve_cg
+from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, GridSpec, Scheme
 
 SourceFn = Callable[[float], Field2D]
@@ -133,6 +136,93 @@ def _rel_increment(new: np.ndarray, old: np.ndarray, cell_area: float) -> float:
     return diff / scale
 
 
+Pair = tuple[np.ndarray, np.ndarray]
+
+
+def coupled_fixed_point(
+    sweep: Callable[[np.ndarray, np.ndarray], Pair], start: Pair, settings: PicardSettings,
+    cell_area: float, name: str, guard_blowup: bool = False,
+) -> tuple[Pair, Pair, int]:
+    """Iterate ``(a, b) <- sweep(a, b)`` from ``start`` to a fixed point.
+
+    Stops once the larger of the two relative L2 increments drops below
+    ``settings.tol``; returns the converged pair, the pair its last sweep
+    froze and the number of sweeps.  With ``guard_blowup``, iterates that
+    outgrow the start pair's scale (floored at 1) by ``_BLOWUP_SCALE``, or
+    turn non-finite, abort at once instead of overflowing a few sweeps on.
+
+    Raises
+    ------
+    PicardDivergenceError
+        On blow-up, or if ``settings.max_iters`` sweeps do not reach the
+        tolerance; ``name`` opens the message.
+    """
+    a_bar, b_bar = start
+    if guard_blowup:
+        start_scale = max(mesh.l2_norm_array(a_bar, cell_area),
+                          mesh.l2_norm_array(b_bar, cell_area), 1.0)
+    increment = np.inf
+    for k in range(1, settings.max_iters + 1):
+        a_new, b_new = sweep(a_bar, b_bar)
+        increment = max(_rel_increment(a_new, a_bar, cell_area),
+                        _rel_increment(b_new, b_bar, cell_area))
+        if guard_blowup:
+            new_scale = max(mesh.l2_norm_array(a_new, cell_area),
+                            mesh.l2_norm_array(b_new, cell_area))
+            if not np.isfinite(new_scale) or new_scale > _BLOWUP_SCALE * start_scale:
+                raise PicardDivergenceError(
+                    f"{name} diverged at sweep {k} "
+                    f"(iterate scale grew by {new_scale / start_scale:.1e})",
+                    last_increment=float(increment),
+                )
+        if increment < settings.tol:
+            return (a_new, b_new), (a_bar, b_bar), k
+        a_bar, b_bar = a_new, b_new
+    raise PicardDivergenceError(
+        f"{name} stalled after {settings.max_iters} sweeps "
+        f"(last relative increment {increment:.3e})",
+        last_increment=increment,
+    )
+
+
+# Array bodies of `step_v` and `step_u`.  The Picard sweep calls them on its
+# lagged iterates directly, so a step builds two Field2D objects, not two per sweep.
+def _solve_v(v_prev, ubar_pos, vbar_pos, f_now, tau, cg_tol, source, x0) -> np.ndarray:
+    rhs = v_prev.values / tau + ubar_pos + f_now.values * vbar_pos
+    if source is not None:
+        rhs = rhs + source.values
+    return linalg.solve_shifted(v_prev.grid, 1.0 / tau + 1.0, rhs, rtol=cg_tol, x0=x0)
+
+
+def _solve_u(u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol, source, x0) -> np.ndarray:
+    grid = u_prev.grid
+    area = grid.cell_area
+    rhs = u_prev.values / tau + params.r * ubar_pos
+    if params.kappa != 0.0:
+        rhs = rhs - params.kappa * mesh.chemotaxis_divergence_arrays(
+            ubar_pos, v_new, grid.hx, grid.hy, scheme
+        )
+    int_source = 0.0
+    if source is not None:
+        rhs = rhs + source.values
+        int_source = float(source.values.sum()) * area
+
+    u_new = linalg.solve_shifted(grid, 1.0 / tau, rhs, reaction=params.mu * ubar_pos,
+                                 rtol=cg_tol, x0=x0)
+
+    # Close the mass balance exactly: the divergence terms integrate to zero
+    # by construction, so the residual below is pure CG closure error.
+    int_ubar = float(ubar_pos.sum()) * area
+    defect = (
+        params.r * int_ubar
+        + int_source
+        - params.mu * float(np.sum(ubar_pos * u_new)) * area
+        - (float(u_new.sum()) - float(u_prev.values.sum())) * area / tau
+    )
+    u_new += defect / (grid.Lx * grid.Ly / tau + params.mu * int_ubar)
+    return u_new
+
+
 def step_v(
     v_prev: Field2D,
     u_bar: Field2D,
@@ -150,20 +240,8 @@ def step_v(
     nonnegative right-hand side the M-matrix structure keeps ``v`` nonnegative.
     """
     grid = mesh.check_same_grid(v_prev, u_bar, v_bar, f_now)
-    hx, hy = grid.hx, grid.hy
-    ubar_pos = np.maximum(u_bar.values, 0.0)
-    vbar_pos = np.maximum(v_bar.values, 0.0)
-    rhs = v_prev.values / tau + ubar_pos + f_now.values * vbar_pos
-    if source is not None:
-        rhs = rhs + source.values
-
-    shift = 1.0 / tau + 1.0
-
-    def apply_op(x: np.ndarray) -> np.ndarray:
-        return shift * x - mesh.laplacian_array(x, hx, hy)
-
-    diag = shift + mesh.laplacian_diag(grid)
-    return Field2D(grid, solve_cg(apply_op, rhs, diag, rtol=cg_tol, x0=x0))
+    return Field2D(grid, _solve_v(v_prev, np.maximum(u_bar.values, 0.0),
+                                  np.maximum(v_bar.values, 0.0), f_now, tau, cg_tol, source, x0))
 
 
 def step_u(
@@ -185,40 +263,8 @@ def step_u(
     identity exact to round-off.
     """
     grid = mesh.check_same_grid(u_prev, u_bar, v_new)
-    hx, hy = grid.hx, grid.hy
-    area = grid.cell_area
-    ubar_pos = np.maximum(u_bar.values, 0.0)
-
-    rhs = u_prev.values / tau + params.r * ubar_pos
-    if params.kappa != 0.0:
-        rhs = rhs - params.kappa * mesh.chemotaxis_divergence_arrays(
-            ubar_pos, v_new.values, hx, hy, scheme
-        )
-    int_source = 0.0
-    if source is not None:
-        rhs = rhs + source.values
-        int_source = float(source.values.sum()) * area
-
-    inv_tau = 1.0 / tau
-    damping = params.mu * ubar_pos
-
-    def apply_op(x: np.ndarray) -> np.ndarray:
-        return inv_tau * x - mesh.laplacian_array(x, hx, hy) + damping * x
-
-    diag = inv_tau + mesh.laplacian_diag(grid) + damping
-    u_new = solve_cg(apply_op, rhs, diag, rtol=cg_tol, x0=x0)
-
-    # Close the mass balance exactly: the divergence terms integrate to zero
-    # by construction, so the residual below is pure CG closure error.
-    int_ubar = float(ubar_pos.sum()) * area
-    defect = (
-        params.r * int_ubar
-        + int_source
-        - params.mu * float(np.sum(ubar_pos * u_new)) * area
-        - (float(u_new.sum()) - float(u_prev.values.sum())) * area / tau
-    )
-    u_new += defect / (grid.Lx * grid.Ly / tau + params.mu * int_ubar)
-    return Field2D(grid, u_new)
+    return Field2D(grid, _solve_u(u_prev, np.maximum(u_bar.values, 0.0), v_new.values,
+                                  params, tau, scheme, cg_tol, source, x0))
 
 
 @dataclass(frozen=True)
@@ -246,8 +292,7 @@ def picard_step(
     """Advance one step by fixed-point iteration on the decoupled solves.
 
     Starting from ``(u_prev, v_prev)``, each sweep solves ``v`` then ``u``
-    with the other iterate's positive part frozen, until the larger of the
-    two relative L2 increments drops below ``settings.tol``.
+    with the other iterate's positive part frozen (`coupled_fixed_point`).
 
     Raises
     ------
@@ -258,48 +303,30 @@ def picard_step(
     """
     grid = mesh.check_same_grid(u_prev, v_prev, f_now)
     area = grid.cell_area
-    u_bar = u_prev
-    v_bar = v_prev
-    start_scale = max(mesh.l2_norm_array(u_prev.values, area),
-                      mesh.l2_norm_array(v_prev.values, area), 1.0)
-    increment = np.inf
-    for k in range(1, settings.max_iters + 1):
-        v_new = step_v(v_prev, u_bar, v_bar, f_now, tau, cg_tol=cg_tol,
-                       source=source_v, x0=v_bar.values)
-        u_new = step_u(u_prev, u_bar, v_new, params, tau, scheme, cg_tol=cg_tol,
-                       source=source_u, x0=u_bar.values)
-        increment = max(
-            _rel_increment(u_new.values, u_bar.values, area),
-            _rel_increment(v_new.values, v_bar.values, area),
-        )
-        new_scale = max(mesh.l2_norm_array(u_new.values, area),
-                        mesh.l2_norm_array(v_new.values, area))
-        if not np.isfinite(new_scale) or new_scale > _BLOWUP_SCALE * start_scale:
-            raise PicardDivergenceError(
-                f"fixed-point iteration diverged at sweep {k} "
-                f"(iterate scale grew by {new_scale / start_scale:.1e})",
-                last_increment=float(increment),
-            )
-        converged = increment < settings.tol
-        if converged or k == settings.max_iters:
-            ubar_pos = np.maximum(u_bar.values, 0.0)
-            int_ubar = float(ubar_pos.sum()) * area
-            int_ubar_unew = float(np.sum(ubar_pos * u_new.values)) * area
-            int_src = float(source_u.values.sum()) * area if source_u is not None else 0.0
-            residual = (
-                (float(u_new.values.sum()) - float(u_prev.values.sum())) * area / tau
-                - params.r * int_ubar
-                + params.mu * int_ubar_unew
-                - int_src
-            )
-        if converged:
-            return PicardResult(u_new, v_new, k, int_ubar, int_ubar_unew, residual)
-        u_bar, v_bar = u_new, v_new
-    raise PicardDivergenceError(
-        f"fixed-point iteration stalled after {settings.max_iters} sweeps "
-        f"(last relative increment {increment:.3e})",
-        last_increment=increment,
+
+    def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
+        ubar_pos = np.maximum(u_bar, 0.0)
+        v_new = _solve_v(v_prev, ubar_pos, np.maximum(v_bar, 0.0), f_now, tau, cg_tol,
+                         source_v, v_bar)
+        u_new = _solve_u(u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol, source_u, u_bar)
+        return u_new, v_new
+
+    (u_new, v_new), (u_bar, _), sweeps = coupled_fixed_point(
+        sweep, (u_prev.values, v_prev.values), settings, area,
+        "fixed-point iteration", guard_blowup=True,
     )
+    ubar_pos = np.maximum(u_bar, 0.0)
+    int_ubar = float(ubar_pos.sum()) * area
+    int_ubar_unew = float(np.sum(ubar_pos * u_new)) * area
+    int_src = float(source_u.values.sum()) * area if source_u is not None else 0.0
+    residual = (
+        (float(u_new.sum()) - float(u_prev.values.sum())) * area / tau
+        - params.r * int_ubar
+        + params.mu * int_ubar_unew
+        - int_src
+    )
+    return PicardResult(Field2D(grid, u_new), Field2D(grid, v_new), sweeps,
+                        int_ubar, int_ubar_unew, residual)
 
 
 def solve_forward(

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import struct
 import sys
 from pathlib import Path
@@ -726,8 +725,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> N
                         help="directory for output files (default: output.directory)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for any randomized auxiliary data")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="pin BLAS/OpenMP thread-pool sizes for reproducibility")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -786,19 +783,6 @@ _COMMANDS = {
 }
 
 
-def _apply_thread_env(threads: Optional[int]) -> None:
-    # Best effort: affects pools created after this point in the process.
-    # The solver kernels are plain elementwise numpy, so this is about
-    # run-to-run reproducibility, not speed.
-    if threads is None:
-        return
-    if threads < 1:
-        raise _UsageError("--threads must be at least 1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = str(threads)
-
-
 def run(argv: Optional[list[str]] = None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
     parser = build_parser()
@@ -811,7 +795,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         return int(err.code or 0)
 
     try:
-        _apply_thread_env(args.threads)
         return _COMMANDS[args.command](args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Matrix-free preconditioned conjugate gradient on 2D arrays.
 
-All implicit systems assembled by the time steppers are symmetric positive
-definite (shifted Neumann Laplacians plus nonnegative diagonal terms), so a
-single CG routine with Jacobi preconditioning covers every solve.  The
-operator is passed as a callable acting on ``(nx, ny)`` arrays; nothing is
-ever assembled.
+Every implicit system the forward, dual and linearized steppers assemble is
+a shifted Neumann Laplacian ``(shift - lap_h + reaction) y = b`` with a
+positive cell shift, so it is symmetric positive definite and one CG routine
+with Jacobi preconditioning covers every solve.  `solve_shifted` builds that
+operator and its diagonal in one place; `solve_cg` takes any operator as a
+callable acting on ``(nx, ny)`` arrays.  Nothing is ever assembled.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import mesh
 from .errors import LinearSolverError
 
 DEFAULT_CG_TOL = 1e-10
@@ -82,3 +84,27 @@ def solve_cg(
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise LinearSolverError("conjugate gradient did not converge", r_norm / b_norm)
+
+
+def solve_shifted(
+    grid: mesh.GridSpec, shift, rhs: np.ndarray, reaction: Optional[np.ndarray] = None,
+    rtol: float = DEFAULT_CG_TOL, x0: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Solve ``shift * y - lap_h y + reaction * y = rhs`` on ``grid`` by CG.
+
+    ``shift`` is a scalar or one value per cell, ``reaction`` an optional
+    per-cell term kept apart from the shift (adding it in first would round
+    differently).  The Jacobi diagonal ``shift + D + reaction``, with ``D``
+    the diagonal of ``-lap_h``, is built here next to its operator.
+    """
+    hx, hy = grid.hx, grid.hy
+    diag = shift + mesh.laplacian_diag(grid)
+    if reaction is None:
+        def apply_op(x: np.ndarray) -> np.ndarray:
+            return shift * x - mesh.laplacian_array(x, hx, hy)
+    else:
+        diag = diag + reaction
+
+        def apply_op(x: np.ndarray) -> np.ndarray:
+            return shift * x - mesh.laplacian_array(x, hx, hy) + reaction * x
+    return solve_cg(apply_op, rhs, diag, rtol=rtol, x0=x0)

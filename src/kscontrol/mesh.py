@@ -178,20 +178,15 @@ def _face_weights(gx: np.ndarray, gy: np.ndarray, scheme: Scheme):
 
 def chemotaxis_divergence_arrays(
     u: np.ndarray, v: np.ndarray, hx: float, hy: float, scheme: Scheme,
-    select_from: np.ndarray | None = None,
 ) -> np.ndarray:
     """``div_h(u_face * grad_h v)`` with zero-flux boundary faces.
 
-    ``select_from`` optionally decouples the upwind donor selection from the
-    field whose gradient carries the flux; the linearized problem needs the
-    donor pattern frozen at the base state.
+    The upwind donor choice depends on ``v`` alone, so for fixed ``v`` the
+    operator is linear in ``u``; the linearized solver freezes the donor
+    pattern by passing the base state as ``v``.
     """
     gx, gy = _face_gradients(v, hx, hy)
-    if select_from is v or select_from is None:
-        sx, sy = gx, gy
-    else:
-        sx, sy = _face_gradients(select_from, hx, hy)
-    wx, wy = _face_weights(sx, sy, scheme)
+    wx, wy = _face_weights(gx, gy, scheme)
 
     fx = (wx * u[:-1, :] + (1.0 - wx) * u[1:, :]) * gx
     fy = (wy * u[:, :-1] + (1.0 - wy) * u[:, 1:]) * gy
@@ -206,7 +201,6 @@ def chemotaxis_divergence_arrays(
 
 def chemotaxis_adjoint_arrays(
     w: np.ndarray, v: np.ndarray, hx: float, hy: float, scheme: Scheme,
-    select_from: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact transpose of ``u -> chemotaxis_divergence_arrays(u, v)``.
 
@@ -216,11 +210,7 @@ def chemotaxis_adjoint_arrays(
     on ``u`` the identity ``<C u, w> = <u, C^T w>`` holds to round-off.
     """
     gx, gy = _face_gradients(v, hx, hy)
-    if select_from is v or select_from is None:
-        sx, sy = gx, gy
-    else:
-        sx, sy = _face_gradients(select_from, hx, hy)
-    wx, wy = _face_weights(sx, sy, scheme)
+    wx, wy = _face_weights(gx, gy, scheme)
 
     tx = gx * (w[1:, :] - w[:-1, :]) / hx
     ty = gy * (w[:, 1:] - w[:, :-1]) / hy

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, solve_adjoint
-from .errors import PicardDivergenceError
+from .adjoint import AdjointTrajectory, check_eta_shift, solve_adjoint
+from .errors import LinearSolverError, PicardDivergenceError, StepConditioningError
 from .control import (
     AdmissibleSet,
     ControlField,
@@ -215,10 +215,12 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     size and backtrack count per iteration) together with the final
     control.  The cost sequence is strictly decreasing: a step is accepted
     only with sufficient decrease proportional to the squared projected
-    step.  Trial controls the forward solver cannot march (its fixed point
-    diverges) are rejected exactly like insufficient-decrease trials.  If
-    the line search exhausts its backtracks the best iterate so far is
-    returned with ``reason = "line_search_failure"``.
+    step.  Trial controls the next dual sweep cannot take (``1/tau + 1 - f``
+    not positive) or the forward solver cannot march (its fixed point
+    diverges, or a linear solve fails) are rejected exactly like
+    insufficient-decrease trials.  If the line search exhausts its
+    backtracks the best iterate so far is returned with
+    ``reason = "line_search_failure"``.
     """
     arm = opts.armijo
     f = problem.initial_control()
@@ -255,10 +257,12 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
                                      problem.admissible.f_max)
             f_trial = ControlField(f.time_grid, f.region, trial_vals)
             try:
+                check_eta_shift(trial_vals, problem.time_grid.tau)
                 state_trial, cost_trial = cost_of_control(problem, f_trial)
-            except PicardDivergenceError:
-                # a trial control the forward solver cannot march is just a
-                # step that was too long; shrink like any other rejection
+            except (StepConditioningError, PicardDivergenceError, LinearSolverError):
+                # a trial control the dual cannot take or the forward solver
+                # cannot march is just a step that was too long; shrink like
+                # any other rejection
                 s *= arm.shrink
                 continue
             decrease = arm.c1 / s * qc_norm(f.values - trial_vals, f) ** 2

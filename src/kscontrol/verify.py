@@ -5,9 +5,9 @@ Three kinds of evidence are produced here.
 * Trajectory monitors (`monitor_invariants`): nonnegativity, the total-mass
   bound ``int u(t) <= max(int u0, r |Omega| / mu) * (1 + 10 tau)`` and the
   per-step discrete mass identity, which the forward solver satisfies to
-  round-off by construction.  Smoothness proxies (H1/H2 seminorms of the
-  signal) are reported but never asserted - the continuous theory bounds
-  them by constants no discrete statement pins down.
+  round-off by construction.  A smoothness proxy (the H1 seminorm of the
+  signal) is reported but never asserted - the continuous theory bounds
+  it by a constant no discrete statement pins down.
 
 * Independent oracles (`analytic_references`, `fd_gradient`,
   `duality_gap`): closed-form solutions the solver must reproduce, central
@@ -73,7 +73,6 @@ class InvariantReport:
     mass_identity_residual: np.ndarray
     l2_u: np.ndarray
     h1_v_proxy: np.ndarray
-    h2_v_proxy: np.ndarray
     nonneg_ok: bool
     mass_bound_ok: bool
     mass_identity_ok: bool
@@ -119,9 +118,6 @@ def monitor_invariants(
     mass_u = np.array([mesh.integrate(state.u[k]) for k in range(levels)])
     l2_u = np.array([mesh.norms(state.u[k]).l2 for k in range(levels)])
     h1_v = np.array([mesh.norms(state.v[k]).h1_seminorm for k in range(levels)])
-    h2_v = np.array(
-        [mesh.norms(mesh.laplacian_neumann(state.v[k])).l2 for k in range(levels)]
-    )
 
     area_total = grid.Lx * grid.Ly
     bound_core = max(mass_u[0], params.r * area_total / params.mu)
@@ -159,7 +155,6 @@ def monitor_invariants(
         mass_identity_residual=residual,
         l2_u=l2_u,
         h1_v_proxy=h1_v,
-        h2_v_proxy=h2_v,
         nonneg_ok=nonneg_ok,
         mass_bound_ok=mass_bound_ok,
         mass_identity_ok=mass_identity_ok,

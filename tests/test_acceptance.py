@@ -480,7 +480,7 @@ def test_R1_cli_reproducibility(tmp_path):
     for label in ("first", "second"):
         out = tmp_path / label
         rc = run(["optimize", "--config", str(cfg), "--output", str(out),
-                  "--seed", "11", "--threads", "1"])
+                  "--seed", "11"])
         assert rc == 0
         outputs.append(out)
     first, second = outputs

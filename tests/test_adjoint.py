@@ -16,7 +16,7 @@ from kscontrol.adjoint import (
     step_adjoint,
 )
 from kscontrol.control import ControlField, CostWeights, TrackingTargets
-from kscontrol.errors import StepConditioningError
+from kscontrol.errors import PicardDivergenceError, StepConditioningError
 from kscontrol.forward import (
     ModelParams,
     PicardSettings,
@@ -242,6 +242,27 @@ def test_step_conditioning_guards():
     with pytest.raises(StepConditioningError, match="density"):
         step_adjoint(zero, zero, (zero, zero), constant_field(GRID, 0.0),
                      targets_new, strong_r, weights, tau)
+
+
+def test_dual_fixed_point_stall_is_reported():
+    # one sweep cannot resolve the lagged coupling: the first increment,
+    # measured from the zero terminal pair, is 1
+    params, tg, f, state = _forward_fixture(nt=3, kappa=0.8)
+    with pytest.raises(PicardDivergenceError, match="^dual fixed point stalled") as exc:
+        solve_adjoint(state, f, _targets(), params, CostWeights(1.0, 1.0, 0.0),
+                      settings=PicardSettings(tol=1e-9, max_iters=1))
+    assert exc.value.last_increment > 0.0
+    assert exc.value.time_index == tg.nt - 1
+
+
+def test_linearized_fixed_point_stall_is_reported():
+    params, tg, f, state = _forward_fixture(nt=3, kappa=0.8)
+    one = constant_field(GRID, 1.0)
+    with pytest.raises(PicardDivergenceError, match="^linearized fixed point stalled") as exc:
+        solve_linearized_dual(state, f, params, [one] * tg.nt, [one] * tg.nt,
+                              settings=PicardSettings(tol=1e-9, max_iters=1))
+    assert exc.value.last_increment > 0.0
+    assert exc.value.time_index == 0
 
 
 def test_linearized_dual_requires_one_source_per_step():

@@ -1,7 +1,5 @@
 """Configuration parsing, snapshot files, and the command-line surface."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -393,7 +391,7 @@ def test_cli_optimize_repeat_runs_are_bitwise(base_cfg, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         rc = run(["optimize", "--config", base_cfg, "--output", str(out),
-                  "--seed", "7", "--threads", "1",
+                  "--seed", "7",
                   "--set", "optimizer.max_iters=2"])
         assert rc == 0
     assert (out_a / "optimize_start00.csv").read_bytes() == \
@@ -474,21 +472,3 @@ def test_cli_mms_passes_and_fails_by_tolerance(tmp_path, capsys):
               "--order-tol", "0.01", "--output", str(out)])
     assert rc == 3
     assert "out of band" in capsys.readouterr().err
-
-
-def test_cli_threads_flag_pins_pool_sizes(base_cfg, tmp_path):
-    saved = {var: os.environ.get(var) for var in
-             ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    try:
-        rc = run(["simulate", "--config", base_cfg,
-                  "--output", str(tmp_path / "o"), "--threads", "2"])
-        assert rc == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert run(["simulate", "--config", base_cfg, "--threads", "0",
-                    "--output", str(tmp_path / "o")]) == 1
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from kscontrol import linalg
 from kscontrol.errors import LinearSolverError
-from kscontrol.linalg import solve_cg
+from kscontrol.linalg import solve_cg, solve_shifted
+from kscontrol.mesh import GridSpec
 
 
 def _spd_system(n, rng):
@@ -60,3 +62,42 @@ def test_cg_raises_on_iteration_cap():
                  rtol=1e-14, max_iters=1)
     assert exc.value.residual > 0.0
     assert "residual" in str(exc.value)
+
+
+def _dense_neumann_laplacian(n, h):
+    """1-d cell-centred second difference with mirrored (zero-flux) ends."""
+    d = (np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)
+         - 2.0 * np.eye(n))
+    d[0, 0] = d[-1, -1] = -1.0
+    return d / (h * h)
+
+
+@pytest.mark.parametrize("case", ["scalar", "per-cell", "reaction"])
+def test_shifted_solve_operator_and_diagonal_match_dense_matrix(case, monkeypatch):
+    rng = np.random.default_rng(10)
+    grid = GridSpec(Lx=1.0, Ly=1.7, nx=4, ny=6)
+    n = grid.nx * grid.ny
+    shift = 3.5 if case == "scalar" else rng.uniform(1.0, 4.0, size=(grid.nx, grid.ny))
+    reaction = rng.uniform(0.0, 2.0, size=(grid.nx, grid.ny)) if case == "reaction" else None
+    lap = (np.kron(_dense_neumann_laplacian(grid.nx, grid.hx), np.eye(grid.ny))
+           + np.kron(np.eye(grid.nx), _dense_neumann_laplacian(grid.ny, grid.hy)))
+    dense = np.diag(np.broadcast_to(shift, (grid.nx, grid.ny)).ravel()) - lap
+    if reaction is not None:
+        dense += np.diag(reaction.ravel())
+
+    captured = {}
+
+    def capture(apply_op, rhs, diag, rtol, x0):
+        captured.update(apply_op=apply_op, diag=diag)
+        return solve_cg(apply_op, rhs, diag, rtol=rtol, x0=x0)
+
+    monkeypatch.setattr(linalg, "solve_cg", capture)
+    rhs = rng.standard_normal((grid.nx, grid.ny))
+    y = solve_shifted(grid, shift, rhs, reaction=reaction, rtol=1e-13)
+
+    columns = [captured["apply_op"](e.reshape(grid.nx, grid.ny)).ravel() for e in np.eye(n)]
+    np.testing.assert_allclose(np.array(columns).T, dense, rtol=1e-13, atol=1e-12)
+    np.testing.assert_allclose(np.broadcast_to(captured["diag"], (grid.nx, grid.ny)).ravel(),
+                               np.diag(dense), rtol=1e-14)
+    np.testing.assert_allclose(y.ravel(), np.linalg.solve(dense, rhs.ravel()),
+                               rtol=1e-10, atol=1e-12)

@@ -168,6 +168,29 @@ def test_solve_reports_line_search_failure():
     assert len(report.iterates) >= 1
 
 
+@pytest.mark.parametrize("s0", [1e2, 1e3, 1e4, 1e5])
+def test_trial_the_dual_cannot_take_is_a_rejected_step(s0):
+    # one step of length 1 and a signal target far above the state: the
+    # gradient pushes the one control cell past 1/tau + 1, where the dual
+    # signal solve loses definiteness; such a trial must shrink, not abort
+    grid = GridSpec(Lx=1.0, Ly=1.0, nx=8, ny=8)
+    inside = np.zeros((8, 8), dtype=bool)
+    inside[3, 3] = True
+    tg = TimeGrid(T=1.0, nt=1)
+    problem = ControlProblem(
+        u0=constant_field(grid, 1.0), v0=constant_field(grid, 1.0),
+        targets=TrackingTargets(constant_field(grid, 1.0), constant_field(grid, 50.0)),
+        params=ModelParams(kappa=0.0, r=1.0, mu=1.0), weights=CostWeights(1.0, 1.0, 1e-3),
+        admissible=AdmissibleSet(), region=RegionMask(grid, inside), time_grid=tg,
+    )
+    report = solve(problem, OptimizeOptions(max_iters=3, vi_tol=1e-12,
+                                            armijo=ArmijoSettings(s0=s0)))
+    costs = [rec.cost.j_total for rec in report.iterates]
+    assert len(costs) == 4
+    assert all(b < a for a, b in zip(costs, costs[1:]))
+    assert report.final_control.values.max() < 1.0 / tg.tau + 1.0
+
+
 def test_solve_hits_iteration_cap():
     problem = _tracking_problem()
     report = solve(problem, OptimizeOptions(max_iters=2, vi_tol=1e-14))
