@@ -64,20 +64,22 @@ from .forward import (
     coupled_fixed_point,
 )
 from .linalg import DEFAULT_CG_TOL
-from .mesh import Field2D, Scheme
+from .mesh import Field2D, GridSpec, Scheme
 
 
 @dataclass
 class AdjointTrajectory:
     """Multipliers at all levels; the terminal fields are exactly zero.
 
-    ``lam[m]`` and ``eta[m]`` belong to the step ``m -> m+1``; the entries
-    at index ``nt`` close the recursion and are identically zero.
+    ``lam`` and ``eta`` are float arrays of shape ``(nt + 1, nx, ny)`` on
+    ``grid``.  ``lam[m]`` and ``eta[m]`` belong to the step ``m -> m+1``;
+    the entries at index ``nt`` close the recursion and are identically zero.
     """
 
     time_grid: TimeGrid
-    lam: list[Field2D]
-    eta: list[Field2D]
+    grid: GridSpec
+    lam: np.ndarray
+    eta: np.ndarray
 
 
 def check_eta_shift(f_vals: np.ndarray, tau: float) -> None:
@@ -140,44 +142,51 @@ def step_adjoint(
     u_new, v_new = state_new
     u_d, v_d = targets_new
     grid = mesh.check_same_grid(lambda_next, eta_next, u_new, v_new, f_now, u_d, v_d)
+    lam, eta = _dual_step(
+        grid, lambda_next.values, eta_next.values, u_new.values, v_new.values, f_now.values,
+        u_new.values - u_d.values, v_new.values - v_d.values, params, weights, tau, scheme,
+        cg_tol, settings, tracking_weight,
+    )
+    return Field2D(grid, lam), Field2D(grid, eta)
+
+
+def _dual_step(grid, lambda_next, eta_next, u_new, v_new, f_now, dev_u, dev_v, params,
+               weights, tau, scheme, cg_tol, settings, tracking_weight):
+    """Array body of `step_adjoint`; ``dev_u, dev_v`` are the tracking
+    deviations ``u^{m+1} - u_d, v^{m+1} - v_d``."""
     hx, hy = grid.hx, grid.hy
     inv_tau = 1.0 / tau
 
-    upos, react, shift_eta = _dual_coefficients(u_new.values, f_now.values, params, tau)
+    upos, react, shift_eta = _dual_coefficients(u_new, f_now, params, tau)
 
-    rhs_lam_base = lambda_next.values * inv_tau
+    rhs_lam_base = lambda_next * inv_tau
     if weights.gamma_u != 0.0:
-        rhs_lam_base = rhs_lam_base + (
-            tracking_weight * weights.gamma_u * (u_new.values - u_d.values)
-        )
-    rhs_eta_base = eta_next.values * inv_tau
+        rhs_lam_base = rhs_lam_base + tracking_weight * weights.gamma_u * dev_u
+    rhs_eta_base = eta_next * inv_tau
     if weights.gamma_v != 0.0:
-        rhs_eta_base = rhs_eta_base + (
-            tracking_weight * weights.gamma_v * (v_new.values - v_d.values)
-        )
+        rhs_eta_base = rhs_eta_base + tracking_weight * weights.gamma_v * dev_v
 
     def sweep(lam_bar: np.ndarray, eta_bar: np.ndarray):
         rhs_eta = rhs_eta_base
         if params.kappa != 0.0:
             rhs_eta = rhs_eta - params.kappa * mesh.weighted_diffusion_arrays(
-                upos, lam_bar, v_new.values, hx, hy, scheme
+                upos, lam_bar, v_new, hx, hy, scheme
             )
         eta_now = linalg.solve_shifted(grid, shift_eta, rhs_eta, rtol=cg_tol, x0=eta_bar)
 
         rhs_lam = rhs_lam_base + eta_now
         if params.kappa != 0.0:
             rhs_lam = rhs_lam - params.kappa * mesh.chemotaxis_adjoint_arrays(
-                lam_bar, v_new.values, hx, hy, scheme
+                lam_bar, v_new, hx, hy, scheme
             )
         lam_now = linalg.solve_shifted(grid, inv_tau, rhs_lam, reaction=react,
                                        rtol=cg_tol, x0=lam_bar)
         return lam_now, eta_now
 
     (lam, eta), _, _ = coupled_fixed_point(
-        sweep, (lambda_next.values, eta_next.values), settings, grid.cell_area,
-        "dual fixed point",
+        sweep, (lambda_next, eta_next), settings, grid.cell_area, "dual fixed point",
     )
-    return Field2D(grid, lam), Field2D(grid, eta)
+    return lam, eta
 
 
 def solve_adjoint(
@@ -211,49 +220,41 @@ def solve_adjoint(
 
     nt = state.time_grid.nt
     tau = state.time_grid.tau
-    zero = mesh.constant_field(grid, 0.0)
-    lam: list[Field2D] = [zero.copy() for _ in range(nt + 1)]
-    eta: list[Field2D] = [zero.copy() for _ in range(nt + 1)]
+    lam = np.zeros((nt + 1, grid.nx, grid.ny))
+    eta = np.zeros((nt + 1, grid.nx, grid.ny))
+    dev_u = state.u - targets.u_d
+    dev_v = state.v - targets.v_d
 
     for m in range(nt - 1, -1, -1):
         try:
-            lam[m], eta[m] = step_adjoint(
-                lam[m + 1],
-                eta[m + 1],
-                (state.u[m + 1], state.v[m + 1]),
-                control.field_at(m),
-                targets.at(m + 1),
-                params,
-                weights,
-                tau,
-                scheme,
-                cg_tol,
-                settings,
-                tracking_weight=0.5 if m + 1 == nt else 1.0,
+            lam[m], eta[m] = _dual_step(
+                grid, lam[m + 1], eta[m + 1], state.u[m + 1], state.v[m + 1],
+                control.array_at(m), dev_u[m + 1], dev_v[m + 1], params, weights, tau,
+                scheme, cg_tol, settings, 0.5 if m + 1 == nt else 1.0,
             )
         except PicardDivergenceError as err:
             err.time_index = m
             raise
-    return AdjointTrajectory(state.time_grid, lam, eta)
+    return AdjointTrajectory(state.time_grid, grid, lam, eta)
 
 
 def solve_linearized_dual(
     state: StateTrajectory,
     control: ControlField,
     params: ModelParams,
-    source_u: list[Field2D],
-    source_v: list[Field2D],
+    source_u: np.ndarray,
+    source_v: np.ndarray,
     scheme: Scheme = "central",
     cg_tol: float = DEFAULT_CG_TOL,
     settings: PicardSettings = PicardSettings(),
-) -> tuple[list[Field2D], list[Field2D]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact transpose of the dual sweep: the linearized state solver.
 
     Marches, forward in time from a zero initial pair, the derivative of
     the converged forward scheme around ``state``.  ``source_u[m]`` and
-    ``source_v[m]`` (length ``nt``) enter the step producing level
-    ``m+1``; ``U[m], V[m]`` approximate the trajectory perturbation at
-    level ``m+1``.  A perturbation ``df`` of the control corresponds to
+    ``source_v[m]`` (arrays of shape ``(nt, nx, ny)``) enter the step
+    producing level ``m+1``; ``U[m], V[m]`` (same shape) approximate the
+    trajectory perturbation at level ``m+1``.  A perturbation ``df`` of the control corresponds to
     ``source_v[m] = df^m v^{m+1} 1_C``.
 
     Within each level ``U`` and ``V`` are coupled exactly as in the dual
@@ -263,23 +264,23 @@ def solve_linearized_dual(
     grid = state.grid
     nt = state.time_grid.nt
     tau = state.time_grid.tau
-    if len(source_u) != nt or len(source_v) != nt:
-        raise ValueError(f"need one source per step: expected {nt} levels")
+    shape = (nt, grid.nx, grid.ny)
+    if np.shape(source_u) != shape or np.shape(source_v) != shape:
+        raise ValueError(f"need one source per step: expected shape {shape}")
     inv_tau = 1.0 / tau
     hx, hy = grid.hx, grid.hy
 
-    U: list[Field2D] = []
-    V: list[Field2D] = []
+    U = np.empty(shape)
+    V = np.empty(shape)
     u_prev = np.zeros((grid.nx, grid.ny))
     v_prev = np.zeros((grid.nx, grid.ny))
 
     for m in range(nt):
-        v_new = state.v[m + 1].values
-        upos, react, shift_v = _dual_coefficients(
-            state.u[m + 1].values, control.field_at(m).values, params, tau
-        )
-        rhs_u_base = source_u[m].values + u_prev * inv_tau
-        rhs_v_base = source_v[m].values + v_prev * inv_tau
+        v_new = state.v[m + 1]
+        upos, react, shift_v = _dual_coefficients(state.u[m + 1], control.array_at(m),
+                                                  params, tau)
+        rhs_u_base = source_u[m] + u_prev * inv_tau
+        rhs_v_base = source_v[m] + v_prev * inv_tau
 
         def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
             rhs_u = rhs_u_base
@@ -301,7 +302,6 @@ def solve_linearized_dual(
         except PicardDivergenceError as err:
             err.time_index = m
             raise
-        U.append(Field2D(grid, u_prev))
-        V.append(Field2D(grid, v_prev))
+        U[m], V[m] = u_prev, v_prev
 
     return U, V

@@ -56,11 +56,14 @@ class ControlField:
     def from_constant(cls, time_grid: "TimeGrid", region: RegionMask, value: float) -> "ControlField":
         return cls(time_grid, region, np.full((time_grid.nt, region.count), float(value)))
 
-    def field_at(self, level: int) -> Field2D:
+    def array_at(self, level: int) -> np.ndarray:
         """Scatter level ``level`` onto the full grid (zero outside the mask)."""
         full = np.zeros((self.region.grid.nx, self.region.grid.ny))
         full[self.region.inside] = self.values[level]
-        return Field2D(self.region.grid, full)
+        return full
+
+    def field_at(self, level: int) -> Field2D:
+        return Field2D(self.region.grid, self.array_at(level))
 
     def copy(self) -> "ControlField":
         return ControlField(self.time_grid, self.region, self.values.copy())
@@ -134,15 +137,21 @@ def require_well_posed(weights: CostWeights, admissible: AdmissibleSet) -> None:
 
 @dataclass
 class TrackingTargets:
-    """Desired states; each entry is a single field or one field per level."""
+    """Desired states: each is one field for every level, or one per level.
 
-    u_d: "Field2D | list[Field2D]"
-    v_d: "Field2D | list[Field2D]"
+    A `Field2D`, an array, or a sequence of either is stored as one float
+    array of shape ``(nx, ny)`` or ``(nt + 1, nx, ny)``; both broadcast
+    against a trajectory stack.
+    """
 
-    def at(self, level: int) -> tuple[Field2D, Field2D]:
-        u_d = self.u_d[level] if isinstance(self.u_d, list) else self.u_d
-        v_d = self.v_d[level] if isinstance(self.v_d, list) else self.v_d
-        return u_d, v_d
+    u_d: np.ndarray
+    v_d: np.ndarray
+
+    def __post_init__(self):
+        self.u_d = np.asarray(self.u_d, dtype=float)
+        self.v_d = np.asarray(self.v_d, dtype=float)
+        if self.u_d.ndim not in (2, 3) or self.v_d.ndim not in (2, 3):
+            raise ValueError("a target must be one field, or one field per level")
 
 
 def project(f: ControlField, admissible: AdmissibleSet) -> ControlField:
@@ -192,10 +201,7 @@ def reduced_gradient(
     """
     inside = f.region.inside
     nt = f.time_grid.nt
-    vals = np.empty_like(f.values)
-    for n in range(nt):
-        coupling = state.v[n].values[inside] * adjoint.eta[n].values[inside]
-        vals[n] = coupling
+    vals = state.v[:nt][:, inside] * adjoint.eta[:nt][:, inside]
     if gamma_f != 0.0:
         fv = f.values
         vals = vals + gamma_f * np.sign(fv) * np.abs(fv) ** (p - 1.0)

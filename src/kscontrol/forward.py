@@ -102,26 +102,33 @@ class PicardSettings:
 class StateTrajectory:
     """Forward solution at all time levels plus per-step diagnostics.
 
-    ``u`` and ``v`` hold ``nt + 1`` fields (levels ``0 .. nt``).  The
-    diagnostic arrays have one entry per step ``n -> n+1``; the two
-    integrals are taken with the positive part of the final Picard iterate,
-    exactly as used in the accepted linear solve.
+    ``u`` and ``v`` are float arrays of shape ``(nt + 1, nx, ny)`` on
+    ``grid``; ``u[n]`` is level ``n``.  The diagnostic arrays have one entry
+    per step ``n -> n+1``; the two integrals are taken with the positive
+    part of the final Picard iterate, exactly as used in the accepted
+    linear solve.
     """
 
     time_grid: TimeGrid
-    u: list[Field2D]
-    v: list[Field2D]
+    grid: GridSpec
+    u: np.ndarray
+    v: np.ndarray
     picard_iters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     int_u_bar: np.ndarray = field(default_factory=lambda: np.zeros(0))
     int_u_bar_u_new: np.ndarray = field(default_factory=lambda: np.zeros(0))
     mass_identity_residual: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.u[0].grid
 
-    def mass_u(self, level: int) -> float:
-        return mesh.integrate(self.u[level])
+def trapezoid_sq_l2(stack: np.ndarray, time_grid: TimeGrid, cell_area: float) -> float:
+    """Squared space-time L2 norm of ``stack``, shape ``(nt + 1, nx, ny)``:
+    cell-area quadrature in space, trapezoid rule over the levels in time."""
+    nt, tau = time_grid.nt, time_grid.tau
+    total = 0.0
+    # one level at a time, in this order: the order fixes the last bits
+    for n, s in enumerate(np.sum(stack * stack, axis=(1, 2))):
+        w = 0.5 if n in (0, nt) else 1.0
+        total += w * tau * float(s) * cell_area
+    return total
 
 
 # Iterates this far above the step's starting scale (with an O(1) floor,
@@ -185,27 +192,26 @@ def coupled_fixed_point(
     )
 
 
-# Array bodies of `step_v` and `step_u`.  The Picard sweep calls them on its
-# lagged iterates directly, so a step builds two Field2D objects, not two per sweep.
-def _solve_v(v_prev, ubar_pos, vbar_pos, f_now, tau, cg_tol, source, x0) -> np.ndarray:
-    rhs = v_prev.values / tau + ubar_pos + f_now.values * vbar_pos
+# Array bodies of `step_v`, `step_u` and `picard_step`.  The Picard sweep
+# and `solve_forward` call them directly, so a march builds no Field2D.
+def _solve_v(grid, v_prev, ubar_pos, vbar_pos, f_now, tau, cg_tol, source=None, x0=None):
+    rhs = v_prev / tau + ubar_pos + f_now * vbar_pos
     if source is not None:
-        rhs = rhs + source.values
-    return linalg.solve_shifted(v_prev.grid, 1.0 / tau + 1.0, rhs, rtol=cg_tol, x0=x0)
+        rhs = rhs + source
+    return linalg.solve_shifted(grid, 1.0 / tau + 1.0, rhs, rtol=cg_tol, x0=x0)
 
 
-def _solve_u(u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol, source, x0) -> np.ndarray:
-    grid = u_prev.grid
+def _solve_u(grid, u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol, source=None, x0=None):
     area = grid.cell_area
-    rhs = u_prev.values / tau + params.r * ubar_pos
+    rhs = u_prev / tau + params.r * ubar_pos
     if params.kappa != 0.0:
         rhs = rhs - params.kappa * mesh.chemotaxis_divergence_arrays(
             ubar_pos, v_new, grid.hx, grid.hy, scheme
         )
     int_source = 0.0
     if source is not None:
-        rhs = rhs + source.values
-        int_source = float(source.values.sum()) * area
+        rhs = rhs + source
+        int_source = float(source.sum()) * area
 
     u_new = linalg.solve_shifted(grid, 1.0 / tau, rhs, reaction=params.mu * ubar_pos,
                                  rtol=cg_tol, x0=x0)
@@ -217,7 +223,7 @@ def _solve_u(u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol, source, x0) -
         params.r * int_ubar
         + int_source
         - params.mu * float(np.sum(ubar_pos * u_new)) * area
-        - (float(u_new.sum()) - float(u_prev.values.sum())) * area / tau
+        - (float(u_new.sum()) - float(u_prev.sum())) * area / tau
     )
     u_new += defect / (grid.Lx * grid.Ly / tau + params.mu * int_ubar)
     return u_new
@@ -230,8 +236,6 @@ def step_v(
     f_now: Field2D,
     tau: float,
     cg_tol: float = DEFAULT_CG_TOL,
-    source: Optional[Field2D] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> Field2D:
     """One implicit ``v`` solve with lagged positive-part sources.
 
@@ -240,8 +244,8 @@ def step_v(
     nonnegative right-hand side the M-matrix structure keeps ``v`` nonnegative.
     """
     grid = mesh.check_same_grid(v_prev, u_bar, v_bar, f_now)
-    return Field2D(grid, _solve_v(v_prev, np.maximum(u_bar.values, 0.0),
-                                  np.maximum(v_bar.values, 0.0), f_now, tau, cg_tol, source, x0))
+    return Field2D(grid, _solve_v(grid, v_prev.values, np.maximum(u_bar.values, 0.0),
+                                  np.maximum(v_bar.values, 0.0), f_now.values, tau, cg_tol))
 
 
 def step_u(
@@ -252,8 +256,6 @@ def step_u(
     tau: float,
     scheme: Scheme = "central",
     cg_tol: float = DEFAULT_CG_TOL,
-    source: Optional[Field2D] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> Field2D:
     """One implicit ``u`` solve with lagged positive-part coefficients.
 
@@ -263,8 +265,8 @@ def step_u(
     identity exact to round-off.
     """
     grid = mesh.check_same_grid(u_prev, u_bar, v_new)
-    return Field2D(grid, _solve_u(u_prev, np.maximum(u_bar.values, 0.0), v_new.values,
-                                  params, tau, scheme, cg_tol, source, x0))
+    return Field2D(grid, _solve_u(grid, u_prev.values, np.maximum(u_bar.values, 0.0),
+                                  v_new.values, params, tau, scheme, cg_tol))
 
 
 @dataclass(frozen=True)
@@ -286,8 +288,6 @@ def picard_step(
     settings: PicardSettings = PicardSettings(),
     scheme: Scheme = "central",
     cg_tol: float = DEFAULT_CG_TOL,
-    source_u: Optional[Field2D] = None,
-    source_v: Optional[Field2D] = None,
 ) -> PicardResult:
     """Advance one step by fixed-point iteration on the decoupled solves.
 
@@ -302,31 +302,39 @@ def picard_step(
         scale), so a hopeless step fails fast instead of overflowing.
     """
     grid = mesh.check_same_grid(u_prev, v_prev, f_now)
+    (u_new, v_new), diagnostics = _picard(grid, u_prev.values, v_prev.values, f_now.values,
+                                          params, tau, settings, scheme, cg_tol)
+    return PicardResult(Field2D(grid, u_new), Field2D(grid, v_new), *diagnostics)
+
+
+def _picard(grid, u_prev, v_prev, f_now, params, tau, settings, scheme, cg_tol,
+            source_u=None, source_v=None):
+    """Array body of `picard_step`: the new pair and the step's diagnostics
+    ``(sweeps, int_u_bar, int_u_bar_u_new, mass_identity_residual)``."""
     area = grid.cell_area
 
     def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
         ubar_pos = np.maximum(u_bar, 0.0)
-        v_new = _solve_v(v_prev, ubar_pos, np.maximum(v_bar, 0.0), f_now, tau, cg_tol,
+        v_new = _solve_v(grid, v_prev, ubar_pos, np.maximum(v_bar, 0.0), f_now, tau, cg_tol,
                          source_v, v_bar)
-        u_new = _solve_u(u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol, source_u, u_bar)
+        u_new = _solve_u(grid, u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol,
+                         source_u, u_bar)
         return u_new, v_new
 
     (u_new, v_new), (u_bar, _), sweeps = coupled_fixed_point(
-        sweep, (u_prev.values, v_prev.values), settings, area,
-        "fixed-point iteration", guard_blowup=True,
+        sweep, (u_prev, v_prev), settings, area, "fixed-point iteration", guard_blowup=True,
     )
     ubar_pos = np.maximum(u_bar, 0.0)
     int_ubar = float(ubar_pos.sum()) * area
     int_ubar_unew = float(np.sum(ubar_pos * u_new)) * area
-    int_src = float(source_u.values.sum()) * area if source_u is not None else 0.0
+    int_src = float(source_u.sum()) * area if source_u is not None else 0.0
     residual = (
-        (float(u_new.sum()) - float(u_prev.values.sum())) * area / tau
+        (float(u_new.sum()) - float(u_prev.sum())) * area / tau
         - params.r * int_ubar
         + params.mu * int_ubar_unew
         - int_src
     )
-    return PicardResult(Field2D(grid, u_new), Field2D(grid, v_new), sweeps,
-                        int_ubar, int_ubar_unew, residual)
+    return (u_new, v_new), (sweeps, int_ubar, int_ubar_unew, residual)
 
 
 def solve_forward(
@@ -375,34 +383,29 @@ def solve_forward(
     tau = time_grid.tau
     times = time_grid.times()
 
-    u = [u0.copy()]
-    v = [v0.copy()]
+    u = np.empty((nt + 1, grid.nx, grid.ny))
+    v = np.empty((nt + 1, grid.nx, grid.ny))
+    u[0], v[0] = u0.values, v0.values
     picard_iters = np.zeros(nt, dtype=int)
     int_u_bar = np.zeros(nt)
     int_u_bar_u_new = np.zeros(nt)
     mass_residual = np.zeros(nt)
 
     for n in range(nt):
-        f_now = control.field_at(n)
-        src_u = source_u(times[n + 1]) if source_u is not None else None
-        src_v = source_v(times[n + 1]) if source_v is not None else None
+        src_u = source_u(times[n + 1]).values if source_u is not None else None
+        src_v = source_v(times[n + 1]).values if source_v is not None else None
         try:
-            result = picard_step(
-                u[n], v[n], f_now, params, tau, settings, scheme,
-                cg_tol=cg_tol, source_u=src_u, source_v=src_v,
-            )
+            (u[n + 1], v[n + 1]), (
+                picard_iters[n], int_u_bar[n], int_u_bar_u_new[n], mass_residual[n]
+            ) = _picard(grid, u[n], v[n], control.array_at(n), params, tau, settings,
+                        scheme, cg_tol, src_u, src_v)
         except PicardDivergenceError as err:
             err.time_index = n
             raise
-        u.append(result.u_new)
-        v.append(result.v_new)
-        picard_iters[n] = result.iterations
-        int_u_bar[n] = result.int_u_bar
-        int_u_bar_u_new[n] = result.int_u_bar_u_new
-        mass_residual[n] = result.mass_identity_residual
 
     return StateTrajectory(
         time_grid=time_grid,
+        grid=grid,
         u=u,
         v=v,
         picard_iters=picard_iters,

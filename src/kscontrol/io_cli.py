@@ -155,7 +155,7 @@ def load_config(path: Optional[str], overrides: list[str]) -> dict[str, object]:
     if path is not None:
         try:
             raw.update(parse_config_text(Path(path).read_text()))
-        except OSError as err:
+        except (OSError, ValueError) as err:  # ValueError: not UTF-8 text
             raise ConfigError("config", f"cannot read {path}: {err}") from None
     for pair in overrides:
         if "=" not in pair:
@@ -195,7 +195,7 @@ def read_snapshot(path: "Path | str") -> tuple[np.ndarray, float]:
     """Read a KSF1 snapshot; returns ``(values, time)`` with a writable array."""
     try:
         data = Path(path).read_bytes()
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the name
         raise SnapshotFormatError(f"{path}: cannot read snapshot: {err}") from None
     if len(data) < _SNAP_HEADER.size:
         raise SnapshotFormatError(f"{path}: truncated header")
@@ -232,48 +232,53 @@ def _expr_floats(key: str, text: str, count: int) -> list[float]:
 
 
 def evaluate_expression(key: str, text: str, grid: GridSpec) -> Field2D:
-    """Turn one config field expression into a grid field."""
+    """Turn one config field expression into a grid field.
+
+    Values that come out non-finite (``inf``, ``nan``, an overflow, or a
+    snapshot holding them) raise `ConfigError` naming ``key``.
+    """
     head, _, rest = text.partition(":")
     head = head.strip()
-    if head == "zero":
-        if rest.strip():
-            raise ConfigError(key, "the zero expression takes no parameters")
-        return mesh.constant_field(grid, 0.0)
-    if head == "constant":
-        return mesh.constant_field(grid, _expr_floats(key, rest, 1)[0])
-    if head == "cosine":
-        base, amp, kx, ky = _expr_floats(key, rest, 4)
-        X, Y = grid.cell_centers()
-        values = base + amp * np.cos(kx * np.pi * X / grid.Lx) * np.cos(
-            ky * np.pi * Y / grid.Ly
-        )
-        return Field2D(grid, values)
-    if head == "gaussian":
-        base, amp, xc, yc, sigma = _expr_floats(key, rest, 5)
-        if sigma <= 0:
-            raise ConfigError(key, "gaussian width must be positive")
-        X, Y = grid.cell_centers()
-        values = base + amp * np.exp(
-            -(((X - xc) ** 2 + (Y - yc) ** 2) / (2.0 * sigma * sigma))
-        )
-        return Field2D(grid, values)
-    if head == "path":
-        name = rest.strip()
-        if not name:
-            raise ConfigError(key, "path expression needs a file name")
-        values, _time = read_snapshot(name)
-        if values.shape != (grid.nx, grid.ny):
+    X, Y = grid.cell_centers()
+    with np.errstate(all="ignore"):  # an overflow shows up as inf, rejected below
+        if head == "zero":
+            if rest.strip():
+                raise ConfigError(key, "the zero expression takes no parameters")
+            values = np.zeros((grid.nx, grid.ny))
+        elif head == "constant":
+            values = np.full((grid.nx, grid.ny), _expr_floats(key, rest, 1)[0])
+        elif head == "cosine":
+            base, amp, kx, ky = _expr_floats(key, rest, 4)
+            values = base + amp * np.cos(kx * np.pi * X / grid.Lx) * np.cos(
+                ky * np.pi * Y / grid.Ly
+            )
+        elif head == "gaussian":
+            base, amp, xc, yc, sigma = _expr_floats(key, rest, 5)
+            if sigma <= 0:
+                raise ConfigError(key, "gaussian width must be positive")
+            values = base + amp * np.exp(
+                -(((X - xc) ** 2 + (Y - yc) ** 2) / (2.0 * sigma * sigma))
+            )
+        elif head == "path":
+            name = rest.strip()
+            if not name:
+                raise ConfigError(key, "path expression needs a file name")
+            values, _time = read_snapshot(name)
+            if values.shape != (grid.nx, grid.ny):
+                raise ConfigError(
+                    key,
+                    f"snapshot {name} holds a {values.shape[0]}x{values.shape[1]} field, "
+                    f"the grid is {grid.nx}x{grid.ny}",
+                )
+        else:
             raise ConfigError(
                 key,
-                f"snapshot {name} holds a {values.shape[0]}x{values.shape[1]} field, "
-                f"the grid is {grid.nx}x{grid.ny}",
+                f"unknown field expression {head!r} "
+                "(expected constant, cosine, gaussian, or path)",
             )
-        return Field2D(grid, values)
-    raise ConfigError(
-        key,
-        f"unknown field expression {head!r} "
-        "(expected constant, cosine, gaussian, or path)",
-    )
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(key, f"{text!r} gives non-finite values")
+    return Field2D(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +305,8 @@ class RunSetup:
 
 def _positive(cfg: dict, key: str, what: str) -> float:
     value = float(cfg[key])
-    if not value > 0:
-        raise ConfigError(key, f"{what} must be positive")
+    if not (value > 0 and np.isfinite(value)):
+        raise ConfigError(key, f"{what} must be positive and finite")
     return value
 
 
@@ -326,9 +331,7 @@ def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
         raise ConfigError("time.nt", "need at least one time step")
     time_grid = TimeGrid(T=T, nt=nt)
 
-    mu = float(cfg["model.mu"])
-    if not mu > 0:
-        raise ConfigError("model.mu", "the logistic damping coefficient must be positive")
+    mu = _positive(cfg, "model.mu", "the logistic damping coefficient")
     p = float(cfg["model.p_exponent"])
     if not 2.0 < p < 3.0:
         raise ConfigError(
@@ -427,12 +430,16 @@ def build_problem(cfg: dict[str, object]) -> tuple[ControlProblem, OptimizeOptio
         cg_tol=setup.cg_tol,
         f0=setup.f0,
     )
+    shrink = float(cfg["optimizer.armijo_shrink"])
+    if not 0.0 < shrink < 1.0:
+        raise ConfigError("optimizer.armijo_shrink", "the backtracking factor must lie "
+                          "strictly between 0 and 1")
     opts = OptimizeOptions(
         max_iters=max(int(cfg["optimizer.max_iters"]), 0),
         vi_tol=_positive(cfg, "optimizer.vi_tol", "stationarity tolerance"),
         armijo=ArmijoSettings(
             c1=_positive(cfg, "optimizer.armijo_c1", "sufficient-decrease constant"),
-            shrink=float(cfg["optimizer.armijo_shrink"]),
+            shrink=shrink,
             s0=_positive(cfg, "optimizer.armijo_s0", "initial step"),
             max_backtracks=max(int(cfg["optimizer.armijo_max_backtracks"]), 0),
         ),
@@ -479,8 +486,8 @@ def _cmd_simulate(args) -> int:
         times = setup.time_grid.times()
         for n in range(setup.time_grid.nt + 1):
             if n % snapshot_every == 0 or n == setup.time_grid.nt:
-                write_snapshot(out / f"u_{n:06d}.ksf", state.u[n].values, times[n])
-                write_snapshot(out / f"v_{n:06d}.ksf", state.v[n].values, times[n])
+                write_snapshot(out / f"u_{n:06d}.ksf", state.u[n], times[n])
+                write_snapshot(out / f"v_{n:06d}.ksf", state.v[n], times[n])
                 written += 2
 
     nt = setup.time_grid.nt
@@ -540,11 +547,11 @@ def _cmd_adjoint(args) -> int:
     state_dir = Path(args.state_dir)
     nt = setup.time_grid.nt
 
-    u: list[Field2D] = []
-    v: list[Field2D] = []
+    grid = setup.grid
+    u = np.empty((nt + 1, grid.nx, grid.ny))
+    v = np.empty_like(u)
     for n in range(nt + 1):
-        fields = {}
-        for prefix in ("u", "v"):
+        for prefix, stack in (("u", u), ("v", v)):
             path = state_dir / f"{prefix}_{n:06d}.ksf"
             if not path.exists():
                 raise _UsageError(
@@ -553,16 +560,16 @@ def _cmd_adjoint(args) -> int:
                     "configuration first"
                 )
             values, _time = read_snapshot(path)
-            if values.shape != (setup.grid.nx, setup.grid.ny):
+            if values.shape != (grid.nx, grid.ny):
                 raise SnapshotFormatError(
                     f"{path}: {values.shape[0]}x{values.shape[1]} field does not "
-                    f"match the configured {setup.grid.nx}x{setup.grid.ny} grid"
+                    f"match the configured {grid.nx}x{grid.ny} grid"
                 )
-            fields[prefix] = Field2D(setup.grid, values)
-        u.append(fields["u"])
-        v.append(fields["v"])
+            if not np.all(np.isfinite(values)):
+                raise SnapshotFormatError(f"{path}: field contains non-finite values")
+            stack[n] = values
 
-    state = StateTrajectory(setup.time_grid, u, v)
+    state = StateTrajectory(setup.time_grid, grid, u, v)
     adj = solve_adjoint(state, setup.f0, setup.targets, setup.params,
                         setup.weights, setup.scheme, setup.cg_tol,
                         settings=setup.picard)
@@ -570,10 +577,10 @@ def _cmd_adjoint(args) -> int:
     out = _out_dir(args, cfg)
     times = setup.time_grid.times()
     for n in range(nt + 1):
-        write_snapshot(out / f"lam_{n:06d}.ksf", adj.lam[n].values, times[n])
-        write_snapshot(out / f"eta_{n:06d}.ksf", adj.eta[n].values, times[n])
-    lam0 = mesh.norms(adj.lam[0]).l2
-    eta0 = mesh.norms(adj.eta[0]).l2
+        write_snapshot(out / f"lam_{n:06d}.ksf", adj.lam[n], times[n])
+        write_snapshot(out / f"eta_{n:06d}.ksf", adj.eta[n], times[n])
+    lam0 = mesh.l2_norm_array(adj.lam[0], grid.cell_area)
+    eta0 = mesh.l2_norm_array(adj.eta[0], grid.cell_area)
     print(f"adjoint: swept {nt} steps backward; |lam(0)|_L2={lam0!r} |eta(0)|_L2={eta0!r}")
     print(f"wrote {2 * (nt + 1)} snapshot(s) to {out}")
     return 0
@@ -625,7 +632,7 @@ def _cmd_optimize(args) -> int:
     times = problem.time_grid.times()
     for n in range(problem.time_grid.nt):
         write_snapshot(out / f"f_best_{n:06d}.ksf",
-                       best.final_control.field_at(n).values, times[n])
+                       best.final_control.array_at(n), times[n])
     print(
         f"best start {best_index}: J={best.final_cost.j_total!r} "
         f"converged={best.converged} reason={best.reason}"
@@ -796,10 +803,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ConfigError, SnapshotFormatError) as err:
+    except (_UsageError, ConfigError, SnapshotFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (LinearSolverError, PicardDivergenceError, StepConditioningError) as err:

@@ -82,6 +82,9 @@ class Field2D:
     def copy(self) -> "Field2D":
         return Field2D(self.grid, self.values.copy())
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.values, dtype=dtype, copy=copy)
+
 
 def constant_field(grid: GridSpec, value: float) -> Field2D:
     return Field2D(grid, np.full((grid.nx, grid.ny), float(value)))
@@ -289,6 +292,15 @@ def l2_norm_array(vals: np.ndarray, cell_area: float) -> float:
     return float(np.sqrt(np.sum(vals * vals) * cell_area))
 
 
+def h1_seminorm_array(vals: np.ndarray, hx: float, hy: float, cell_area: float):
+    """H1 seminorm from face differences over the two trailing axes, so one
+    call serves a single field or a ``(levels, nx, ny)`` stack."""
+    gx = (vals[..., 1:, :] - vals[..., :-1, :]) / hx
+    gy = (vals[..., 1:] - vals[..., :-1]) / hy
+    axes = (-2, -1)
+    return np.sqrt((np.sum(gx * gx, axis=axes) + np.sum(gy * gy, axis=axes)) * cell_area)
+
+
 @dataclass(frozen=True)
 class FieldNorms:
     l2: float
@@ -309,8 +321,6 @@ def norms(f: Field2D, p: float = 2.0) -> FieldNorms:
     area = g.cell_area
     l2 = l2_norm_array(vals, area)
     lp = float(np.sum(np.abs(vals) ** p) * area) ** (1.0 / p)
-    gx = (vals[1:, :] - vals[:-1, :]) / g.hx
-    gy = (vals[:, 1:] - vals[:, :-1]) / g.hy
-    h1 = float(np.sqrt((np.sum(gx * gx) + np.sum(gy * gy)) * area))
+    h1 = float(h1_seminorm_array(vals, g.hx, g.hy, area))
     linf = float(np.max(np.abs(vals))) if vals.size else 0.0
     return FieldNorms(l2=l2, lp=lp, h1_seminorm=h1, linf=linf)

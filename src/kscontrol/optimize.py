@@ -44,6 +44,7 @@ from .forward import (
     StateTrajectory,
     TimeGrid,
     solve_forward,
+    trapezoid_sq_l2,
 )
 from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, RegionMask, Scheme
@@ -136,20 +137,12 @@ def evaluate_cost(
     Tracking terms use the trapezoid rule over levels ``0 .. nt``; the
     control term uses the left-endpoint rule over levels ``0 .. nt-1``.
     """
-    nt = state.time_grid.nt
-    tau = state.time_grid.tau
     area = state.grid.cell_area
-    j_u = 0.0
-    j_v = 0.0
-    for n in range(nt + 1):
-        w = 0.5 if n in (0, nt) else 1.0
-        u_d, v_d = targets.at(n)
-        if weights.gamma_u != 0.0:
-            du = state.u[n].values - u_d.values
-            j_u += w * tau * float(np.sum(du * du)) * area
-        if weights.gamma_v != 0.0:
-            dv = state.v[n].values - v_d.values
-            j_v += w * tau * float(np.sum(dv * dv)) * area
+    j_u = j_v = 0.0
+    if weights.gamma_u != 0.0:
+        j_u = trapezoid_sq_l2(state.u - targets.u_d, state.time_grid, area)
+    if weights.gamma_v != 0.0:
+        j_v = trapezoid_sq_l2(state.v - targets.v_d, state.time_grid, area)
     j_u *= 0.5 * weights.gamma_u
     j_v *= 0.5 * weights.gamma_v
     j_f = control_cost(f, weights.gamma_f, p)

@@ -39,6 +39,7 @@ from .forward import (
     StateTrajectory,
     TimeGrid,
     solve_forward,
+    trapezoid_sq_l2,
 )
 from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, GridSpec, RegionMask, Scheme, field_from_function
@@ -105,37 +106,38 @@ def monitor_invariants(
 
     Pure function of the trajectory and the model constants; the mass
     identity uses the per-step integrals the solver recorded with the
-    exact coefficients of each accepted linear solve.
+    exact coefficients of each accepted linear solve.  A trajectory without
+    them gets the residual recomputed from its levels, with ``u^{n+1}_+``
+    standing in for the positive part of the last Picard iterate; that
+    residual is exact only at Picard convergence.
     """
     nt = state.time_grid.nt
     tau = state.time_grid.tau
     grid = state.grid
-    levels = nt + 1
+    area = grid.cell_area
+    u, v = state.u, state.v
 
     times = state.time_grid.times()
-    min_u = np.array([float(state.u[k].values.min()) for k in range(levels)])
-    min_v = np.array([float(state.v[k].values.min()) for k in range(levels)])
-    mass_u = np.array([mesh.integrate(state.u[k]) for k in range(levels)])
-    l2_u = np.array([mesh.norms(state.u[k]).l2 for k in range(levels)])
-    h1_v = np.array([mesh.norms(state.v[k]).h1_seminorm for k in range(levels)])
+    min_u = u.min(axis=(1, 2))
+    min_v = v.min(axis=(1, 2))
+    mass_u = u.sum(axis=(1, 2)) * area
+    l2_u = np.sqrt(np.sum(u * u, axis=(1, 2)) * area)
+    h1_v = mesh.h1_seminorm_array(v, grid.hx, grid.hy, area)
 
     area_total = grid.Lx * grid.Ly
     bound_core = max(mass_u[0], params.r * area_total / params.mu)
     mass_bound_rhs = bound_core * (1.0 + 10.0 * tau)
 
-    residual = np.zeros(levels)
+    residual = np.zeros(nt + 1)
     if len(state.mass_identity_residual) == nt:
         residual[1:] = state.mass_identity_residual
     else:  # trajectory without recorded diagnostics: recompute from levels
-        for n in range(nt):
-            upos = np.maximum(state.u[n + 1].values, 0.0)
-            int_ubar = float(upos.sum()) * grid.cell_area
-            int_ubar_unew = float(np.sum(upos * state.u[n + 1].values)) * grid.cell_area
-            residual[n + 1] = (
-                (mass_u[n + 1] - mass_u[n]) / tau
-                - params.r * int_ubar
-                + params.mu * int_ubar_unew
-            )
+        upos = np.maximum(u[1:], 0.0)
+        residual[1:] = (
+            (mass_u[1:] - mass_u[:-1]) / tau
+            - params.r * (upos.sum(axis=(1, 2)) * area)
+            + params.mu * (np.sum(upos * u[1:], axis=(1, 2)) * area)
+        )
 
     floor = -tolerances.nonneg_tol
     nonneg_ok = bool(min_u.min() >= floor and min_v.min() >= floor)
@@ -170,16 +172,9 @@ def trajectory_l2_distance(a: StateTrajectory, b: StateTrajectory) -> tuple[floa
     """Trapezoid-in-time L2 distance between two trajectories (u and v parts)."""
     if a.time_grid != b.time_grid:
         raise ValueError("trajectories use different time grids")
-    nt = a.time_grid.nt
-    tau = a.time_grid.tau
     area = a.grid.cell_area
-    du = dv = 0.0
-    for n in range(nt + 1):
-        w = 0.5 if n in (0, nt) else 1.0
-        eu = a.u[n].values - b.u[n].values
-        ev = a.v[n].values - b.v[n].values
-        du += w * tau * float(np.sum(eu * eu)) * area
-        dv += w * tau * float(np.sum(ev * ev)) * area
+    du = trapezoid_sq_l2(a.u - b.u, a.time_grid, area)
+    dv = trapezoid_sq_l2(a.v - b.v, a.time_grid, area)
     return math.sqrt(du), math.sqrt(dv)
 
 
@@ -229,23 +224,16 @@ def duality_gap(
     grid = state.grid
     nt = state.time_grid.nt
     tau = state.time_grid.tau
-
-    def random_fields() -> list[Field2D]:
-        return [Field2D(grid, rng.standard_normal((grid.nx, grid.ny))) for _ in range(nt)]
-
-    s_lam, s_eta = random_fields(), random_fields()
-    g_u, g_v = random_fields(), random_fields()
+    area = grid.cell_area
+    s_lam, s_eta, g_u, g_v = (rng.standard_normal((nt, grid.nx, grid.ny)) for _ in range(4))
 
     # Arbitrary dual sources enter through the tracking terms: the step-m
     # equations read the targets of level m+1 with trapezoid weight w, so
     # u_d^{m+1} = u^{m+1} - s^m / w injects exactly s^m (with unit gamma).
-    u_d = [state.u[0].copy()]
-    v_d = [state.v[0].copy()]
-    for m in range(nt):
-        w = 0.5 if m + 1 == nt else 1.0
-        u_d.append(Field2D(grid, state.u[m + 1].values - s_lam[m].values / w))
-        v_d.append(Field2D(grid, state.v[m + 1].values - s_eta[m].values / w))
-    targets = TrackingTargets(u_d=u_d, v_d=v_d)
+    w = np.ones((nt, 1, 1))
+    w[-1] = 0.5
+    targets = TrackingTargets(u_d=np.concatenate([state.u[:1], state.u[1:] - s_lam / w]),
+                              v_d=np.concatenate([state.v[:1], state.v[1:] - s_eta / w]))
     weights = CostWeights(gamma_u=1.0, gamma_v=1.0, gamma_f=0.0)
 
     tight = PicardSettings(tol=1e-13, max_iters=400)
@@ -254,11 +242,15 @@ def duality_gap(
     U, V = solve_linearized_dual(state, control, params, g_u, g_v, scheme, cg_tol,
                                  settings=tight)
 
+    def pairing(a, b):
+        return np.sum(a * b, axis=(1, 2)) * area
+
     lhs = rhs = 0.0
-    for m in range(nt):
-        lhs += tau * (mesh.inner(g_u[m], adj.lam[m]) + mesh.inner(g_v[m], adj.eta[m]))
-        rhs += tau * (mesh.inner(s_lam[m], U[m]) + mesh.inner(s_eta[m], V[m]))
-    return lhs, rhs
+    for gl, ge, su, sv in zip(pairing(g_u, adj.lam[:nt]), pairing(g_v, adj.eta[:nt]),
+                              pairing(s_lam, U), pairing(s_eta, V)):
+        lhs += tau * (gl + ge)
+        rhs += tau * (su + sv)
+    return float(lhs), float(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,7 @@ def analytic_references() -> list[Callable[[], ReferenceResult]]:
         v0 = mesh.constant_field(grid, 0.0)
         state = solve_forward(u0, v0, _zero_control(grid, time_grid), params,
                               time_grid, PicardSettings(tol=1e-12, max_iters=80))
-        observed = float(state.u[-1].values[0, 0])
+        observed = float(state.u[-1, 0, 0])
         expected = logistic_closed_form(0.1, 1.0, 2.0)(2.0)
         return ReferenceResult("logistic-growth", observed, expected, 5e-3)
 
@@ -333,9 +325,8 @@ def analytic_references() -> list[Callable[[], ReferenceResult]]:
         state = solve_forward(u0, v0, _zero_control(grid, time_grid), params, time_grid)
         t_end = time_grid.T
         shift = math.exp(-t_end)
-        mode_end = Field2D(grid, state.v[-1].values - shift)
-        amp0 = mesh.norms(Field2D(grid, v0.values - 1.0)).l2
-        amp1 = mesh.norms(mode_end).l2
+        amp0 = mesh.l2_norm_array(v0.values - 1.0, grid.cell_area)
+        amp1 = mesh.l2_norm_array(state.v[-1] - shift, grid.cell_area)
         observed = -math.log(amp1 / amp0) / t_end
         expected = heat_mode_decay_rate(1.0)
         return ReferenceResult("signal-mode-decay", observed, expected,
@@ -350,10 +341,7 @@ def analytic_references() -> list[Callable[[], ReferenceResult]]:
         state = solve_forward(mesh.constant_field(grid, 0.0),
                               mesh.constant_field(grid, 0.0),
                               f, params, time_grid)
-        observed = max(
-            max(float(np.abs(u.values).max()) for u in state.u),
-            max(float(np.abs(v.values).max()) for v in state.v),
-        )
+        observed = max(float(np.abs(state.u).max()), float(np.abs(state.v).max()))
         return ReferenceResult("zero-data", observed, 0.0, 0.0)
 
     return [logistic_case, heat_mode_case, zero_case]
@@ -456,16 +444,9 @@ def _mms_run_error(nx: int, nt: int, T: float, scheme: Scheme) -> tuple[float, f
         cg_tol=1e-12, source_u=src_u, source_v=src_v,
     )
 
-    tau = time_grid.tau
-    area = grid.cell_area
-    err_u = err_v = 0.0
-    times = time_grid.times()
-    for n in range(nt + 1):
-        w = 0.5 if n in (0, nt) else 1.0
-        eu = state.u[n].values - _mms_exact_u(X, Y, times[n])
-        ev = state.v[n].values - _mms_exact_v(X, Y, times[n])
-        err_u += w * tau * float(np.sum(eu * eu)) * area
-        err_v += w * tau * float(np.sum(ev * ev)) * area
+    t = time_grid.times()[:, None, None]
+    err_u = trapezoid_sq_l2(state.u - _mms_exact_u(X, Y, t), time_grid, grid.cell_area)
+    err_v = trapezoid_sq_l2(state.v - _mms_exact_v(X, Y, t), time_grid, grid.cell_area)
     return math.sqrt(err_u), math.sqrt(err_v)
 
 

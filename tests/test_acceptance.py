@@ -123,10 +123,10 @@ def test_A3_logistic_oracle():
         )
         times = tg.times()
         errs[nt] = max(
-            abs(float(state.u[n].values.mean()) - closed(times[n]))
+            abs(float(state.u[n].mean()) - closed(times[n]))
             for n in range(nt + 1)
         )
-    final_gap = abs(float(state.u[-1].values.mean()) - 0.5)
+    final_gap = abs(float(state.u[-1].mean()) - 0.5)
     order = float(np.log2(errs[1000] / errs[2000]))
     print(f"A3: |u(T) - 1/2| = {final_gap:.3e} at tau=1e-2, "
           f"max-in-time errors {errs[1000]:.3e} -> {errs[2000]:.3e}, "
@@ -154,8 +154,8 @@ def test_A4_signal_decay_oracle():
         tg, PicardSettings(tol=1e-13, max_iters=50), "central", cg_tol=1e-13,
     )
     weight = float(np.sum(mode * mode))
-    amp0 = float(np.sum(state.v[0].values * mode)) / weight
-    ampT = float(np.sum(state.v[-1].values * mode)) / weight
+    amp0 = float(np.sum(state.v[0] * mode)) / weight
+    ampT = float(np.sum(state.v[-1] * mode)) / weight
     observed = -np.log(ampT / amp0) / tg.T
     exact = 1.0 + np.pi**2
     deficit = abs(observed - exact) / exact
@@ -424,8 +424,8 @@ def test_D1_adjoint_determinism_and_linearity():
     a = dual(w1)
     b = dual(w1)
     for m in range(problem.time_grid.nt + 1):
-        np.testing.assert_array_equal(a.lam[m].values, b.lam[m].values)
-        np.testing.assert_array_equal(a.eta[m].values, b.eta[m].values)
+        np.testing.assert_array_equal(a.lam[m], b.lam[m])
+        np.testing.assert_array_equal(a.eta[m], b.eta[m])
 
     w2 = CostWeights(gamma_u=2 * w1.gamma_u, gamma_v=2 * w1.gamma_v,
                      gamma_f=w1.gamma_f)
@@ -433,12 +433,10 @@ def test_D1_adjoint_determinism_and_linearity():
     worst = 0.0
     for m in range(problem.time_grid.nt):
         for ours, doubled in ((a.lam[m], c.lam[m]), (a.eta[m], c.eta[m])):
-            np.testing.assert_allclose(doubled.values, 2 * ours.values,
-                                       rtol=1e-13)
-            scale = np.abs(doubled.values).max()
+            np.testing.assert_allclose(doubled, 2 * ours, rtol=1e-13)
+            scale = np.abs(doubled).max()
             if scale > 0:
-                worst = max(worst, float(
-                    np.abs(doubled.values - 2 * ours.values).max() / scale))
+                worst = max(worst, float(np.abs(doubled - 2 * ours).max() / scale))
     print(f"D1: repeat bitwise equal; doubling weights off by at most "
           f"{worst:.3e} relative")
 

@@ -38,9 +38,9 @@ TIGHT = PicardSettings(tol=1e-13, max_iters=300)
 
 
 def _constant_trajectory(tg, u_levels, v_levels, grid=GRID):
-    u = [constant_field(grid, float(a)) for a in u_levels]
-    v = [constant_field(grid, float(b)) for b in v_levels]
-    return StateTrajectory(time_grid=tg, u=u, v=v)
+    u = np.array([np.full((grid.nx, grid.ny), float(a)) for a in u_levels])
+    v = np.array([np.full((grid.nx, grid.ny), float(b)) for b in v_levels])
+    return StateTrajectory(time_grid=tg, grid=grid, u=u, v=v)
 
 
 def _forward_fixture(nt=5, kappa=0.8, scheme="central"):
@@ -63,8 +63,8 @@ def test_terminal_multipliers_are_zero():
     params, tg, f, state = _forward_fixture()
     adj = solve_adjoint(state, f, _targets(), params, CostWeights(1.0, 1.0, 0.0),
                         settings=TIGHT, cg_tol=1e-13)
-    np.testing.assert_array_equal(adj.lam[tg.nt].values, np.zeros((8, 8)))
-    np.testing.assert_array_equal(adj.eta[tg.nt].values, np.zeros((8, 8)))
+    np.testing.assert_array_equal(adj.lam[tg.nt], np.zeros((8, 8)))
+    np.testing.assert_array_equal(adj.eta[tg.nt], np.zeros((8, 8)))
 
 
 def test_adjoint_vanishes_when_state_matches_targets():
@@ -77,8 +77,8 @@ def test_adjoint_vanishes_when_state_matches_targets():
     adj = solve_adjoint(state, f, _targets(0.4, 0.55), params,
                         CostWeights(1.0, 1.0, 0.0))
     for m in range(tg.nt + 1):
-        np.testing.assert_array_equal(adj.lam[m].values, np.zeros((8, 8)))
-        np.testing.assert_array_equal(adj.eta[m].values, np.zeros((8, 8)))
+        np.testing.assert_array_equal(adj.lam[m], np.zeros((8, 8)))
+        np.testing.assert_array_equal(adj.eta[m], np.zeros((8, 8)))
 
 
 def test_scalar_backward_recursion_oracle():
@@ -120,8 +120,8 @@ def test_scalar_backward_recursion_oracle():
         ) / (1.0 / tau + 2.0 * params.mu * max(u_levels[m + 1], 0.0) - params.r)
 
     for m in range(7):
-        np.testing.assert_allclose(adj.lam[m].values, lam_ref[m], rtol=1e-11, atol=1e-13)
-        np.testing.assert_allclose(adj.eta[m].values, eta_ref[m], rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(adj.lam[m], lam_ref[m], rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(adj.eta[m], eta_ref[m], rtol=1e-11, atol=1e-13)
 
 
 def test_adjoint_is_linear_in_tracking_weights():
@@ -131,9 +131,9 @@ def test_adjoint_is_linear_in_tracking_weights():
     two = solve_adjoint(state, f, _targets(), params, CostWeights(2.0, 1.4, 0.0),
                         settings=TIGHT, cg_tol=1e-13)
     for m in range(tg.nt + 1):
-        np.testing.assert_allclose(two.lam[m].values, 2.0 * one.lam[m].values,
+        np.testing.assert_allclose(two.lam[m], 2.0 * one.lam[m],
                                    rtol=1e-13, atol=1e-16)
-        np.testing.assert_allclose(two.eta[m].values, 2.0 * one.eta[m].values,
+        np.testing.assert_allclose(two.eta[m], 2.0 * one.eta[m],
                                    rtol=1e-13, atol=1e-16)
 
 
@@ -143,8 +143,8 @@ def test_adjoint_repeat_solve_is_bitwise_identical():
     a = solve_adjoint(state, f, _targets(), params, weights)
     b = solve_adjoint(state, f, _targets(), params, weights)
     for m in range(tg.nt + 1):
-        np.testing.assert_array_equal(a.lam[m].values, b.lam[m].values)
-        np.testing.assert_array_equal(a.eta[m].values, b.eta[m].values)
+        np.testing.assert_array_equal(a.lam[m], b.lam[m])
+        np.testing.assert_array_equal(a.eta[m], b.eta[m])
 
 
 def test_manual_backward_composition_matches_solver():
@@ -161,17 +161,17 @@ def test_manual_backward_composition_matches_solver():
     for m in range(tg.nt - 1, -1, -1):
         lam, eta = step_adjoint(
             lam, eta,
-            (state.u[m + 1], state.v[m + 1]),
+            (Field2D(GRID, state.u[m + 1]), Field2D(GRID, state.v[m + 1])),
             f.field_at(m),
-            targets.at(m + 1),
+            (Field2D(GRID, targets.u_d), Field2D(GRID, targets.v_d)),
             params, weights, tg.tau,
             tracking_weight=0.5 if m + 1 == tg.nt else 1.0,
         )
         levels.append((lam, eta))
     levels.reverse()
     for m in range(tg.nt + 1):
-        np.testing.assert_array_equal(adj.lam[m].values, levels[m][0].values)
-        np.testing.assert_array_equal(adj.eta[m].values, levels[m][1].values)
+        np.testing.assert_array_equal(adj.lam[m], levels[m][0].values)
+        np.testing.assert_array_equal(adj.eta[m], levels[m][1].values)
 
 
 def test_linearized_solver_matches_forward_differences():
@@ -188,27 +188,24 @@ def test_linearized_solver_matches_forward_differences():
 
     def perturbed(sign):
         fp = ControlField(tg, f.region, f.values + sign * eps * df)
-        return solve_forward(state.u[0], state.v[0], fp, params, tg,
-                             settings=TIGHT, cg_tol=1e-13)
+        return solve_forward(Field2D(GRID, state.u[0]), Field2D(GRID, state.v[0]), fp,
+                             params, tg, settings=TIGHT, cg_tol=1e-13)
 
     plus, minus = perturbed(+1.0), perturbed(-1.0)
 
-    mask = f.region.inside
-    src_u = [constant_field(GRID, 0.0) for _ in range(tg.nt)]
-    src_v = []
-    for m in range(tg.nt):
-        scattered = np.zeros((GRID.nx, GRID.ny))
-        scattered[mask] = df[m]
-        src_v.append(Field2D(GRID, scattered * state.v[m + 1].values))
+    scattered = np.zeros((tg.nt, GRID.nx, GRID.ny))
+    scattered[:, f.region.inside] = df
+    src_u = np.zeros((tg.nt, GRID.nx, GRID.ny))
+    src_v = scattered * state.v[1:]
     U, V = solve_linearized_dual(state, f, params, src_u, src_v,
                                  settings=TIGHT, cg_tol=1e-13)
 
     for m in range(tg.nt):
-        fd_u = (plus.u[m + 1].values - minus.u[m + 1].values) / (2.0 * eps)
-        fd_v = (plus.v[m + 1].values - minus.v[m + 1].values) / (2.0 * eps)
+        fd_u = (plus.u[m + 1] - minus.u[m + 1]) / (2.0 * eps)
+        fd_v = (plus.v[m + 1] - minus.v[m + 1]) / (2.0 * eps)
         scale = max(np.abs(fd_u).max(), np.abs(fd_v).max(), 1e-12)
-        assert np.abs(U[m].values - fd_u).max() < 5e-5 * scale
-        assert np.abs(V[m].values - fd_v).max() < 5e-5 * scale
+        assert np.abs(U[m] - fd_u).max() < 5e-5 * scale
+        assert np.abs(V[m] - fd_v).max() < 5e-5 * scale
 
 
 @pytest.mark.parametrize("scheme", ["central", "upwind"])
@@ -257,9 +254,9 @@ def test_dual_fixed_point_stall_is_reported():
 
 def test_linearized_fixed_point_stall_is_reported():
     params, tg, f, state = _forward_fixture(nt=3, kappa=0.8)
-    one = constant_field(GRID, 1.0)
+    one = np.ones((tg.nt, GRID.nx, GRID.ny))
     with pytest.raises(PicardDivergenceError, match="^linearized fixed point stalled") as exc:
-        solve_linearized_dual(state, f, params, [one] * tg.nt, [one] * tg.nt,
+        solve_linearized_dual(state, f, params, one, one,
                               settings=PicardSettings(tol=1e-9, max_iters=1))
     assert exc.value.last_increment > 0.0
     assert exc.value.time_index == 0
@@ -267,9 +264,8 @@ def test_linearized_fixed_point_stall_is_reported():
 
 def test_linearized_dual_requires_one_source_per_step():
     params, tg, f, state = _forward_fixture(nt=3)
-    zero = constant_field(GRID, 0.0)
     with pytest.raises(ValueError, match="per step"):
-        solve_linearized_dual(state, f, params, [zero] * 2, [zero] * 3)
+        solve_linearized_dual(state, f, params, np.zeros((2, 8, 8)), np.zeros((3, 8, 8)))
 
 
 def test_trajectory_distance_of_identical_runs_is_zero():

@@ -71,14 +71,23 @@ def test_layout_matches():
 
 
 def test_tracking_targets_indexing():
+    # one field serves every level by broadcasting; a sequence stacks
+    levels = np.zeros((8, GRID.nx, GRID.ny))
     static = TrackingTargets(constant_field(GRID, 0.1), constant_field(GRID, 0.2))
-    u_d, v_d = static.at(7)
-    assert u_d.values[0, 0] == 0.1 and v_d.values[0, 0] == 0.2
+    u_d, v_d = (levels + static.u_d)[7], (levels + static.v_d)[7]
+    assert u_d[0, 0] == 0.1 and v_d[0, 0] == 0.2
     per_level = TrackingTargets(
         [constant_field(GRID, float(n)) for n in range(3)],
         constant_field(GRID, 0.5),
     )
-    assert per_level.at(2)[0].values[0, 0] == 2.0
+    assert per_level.u_d.shape == (3, GRID.nx, GRID.ny)
+    assert per_level.u_d[2][0, 0] == 2.0
+    arrays = TrackingTargets([np.full((GRID.nx, GRID.ny), float(n)) for n in range(3)],
+                             np.full((GRID.nx, GRID.ny), 0.5))
+    np.testing.assert_array_equal(arrays.u_d, per_level.u_d)
+    np.testing.assert_array_equal(arrays.v_d, per_level.v_d)
+    with pytest.raises(ValueError, match="one field per level"):
+        TrackingTargets(np.zeros(4), np.zeros((GRID.nx, GRID.ny)))
 
 
 # ----------------------------------------------------------------------
@@ -139,12 +148,10 @@ def test_control_cost_rejects_negative_weight():
 
 
 def _trivial_state_and_adjoint(v_val, eta_val):
-    u = [constant_field(GRID, 0.0) for _ in range(TG.nt + 1)]
-    v = [constant_field(GRID, v_val) for _ in range(TG.nt + 1)]
-    state = StateTrajectory(time_grid=TG, u=u, v=v)
-    lam = [constant_field(GRID, 0.0) for _ in range(TG.nt + 1)]
-    eta = [constant_field(GRID, eta_val) for _ in range(TG.nt + 1)]
-    return state, AdjointTrajectory(TG, lam, eta)
+    shape = (TG.nt + 1, GRID.nx, GRID.ny)
+    state = StateTrajectory(time_grid=TG, grid=GRID, u=np.zeros(shape),
+                            v=np.full(shape, v_val))
+    return state, AdjointTrajectory(TG, GRID, np.zeros(shape), np.full(shape, eta_val))
 
 
 def test_reduced_gradient_at_zero_control_with_zero_multiplier():

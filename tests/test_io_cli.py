@@ -316,6 +316,35 @@ def test_cli_unknown_config_key_exits_one(base_cfg, capsys):
     assert "grid.nz" in capsys.readouterr().err
 
 
+# a 6x6, two-step descent whose first Armijo trials are rejected, so the
+# line search has to shrink its step
+SHRINKING = ["--set", "grid.nx=6", "--set", "grid.ny=6", "--set", "time.nt=2",
+             "--set", "targets.v_d=constant:0.1", "--set", "optimizer.armijo_s0=1e9",
+             "--set", "optimizer.armijo_max_backtracks=5"]
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("simulate", ["init.u0=constant:inf"], "init.u0"),
+    ("simulate", ["control.initial=constant:nan"], "control.initial"),
+    ("simulate", ["init.v0=path:{nan_ksf}"], "init.v0"),
+    ("simulate", ["time.T=inf"], "time.T"),
+    ("optimize", ["optimizer.armijo_shrink=0"], "optimizer.armijo_shrink"),
+    ("optimize", ["optimizer.armijo_shrink=nan"], "optimizer.armijo_shrink"),
+], ids=["u0-inf", "control-nan", "v0-nan-snapshot", "T-inf", "shrink-zero", "shrink-nan"])
+def test_cli_bad_value_exits_one_naming_the_key(base_cfg, tmp_path, capsys,
+                                                command, overrides, key):
+    nan_ksf = tmp_path / "nan.ksf"
+    write_snapshot(nan_ksf, np.full((10, 10), np.nan), 0.0)
+    argv = [command, "--config", base_cfg, "--output", str(tmp_path / "out")]
+    if command == "optimize":
+        argv += SHRINKING
+    for pair in overrides:
+        argv += ["--set", pair.format(nan_ksf=nan_ksf)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
+
+
 def test_cli_simulate_writes_invariants_and_snapshots(base_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     rc = run(["simulate", "--config", base_cfg, "--output", str(out),
@@ -352,6 +381,22 @@ def test_cli_adjoint_requires_snapshots(base_cfg, tmp_path, capsys):
     rc = run(["adjoint", "--config", base_cfg, "--state-dir", str(tmp_path)])
     assert rc == 1
     assert "snapshot" in capsys.readouterr().err
+
+
+def test_cli_adjoint_rejects_non_finite_snapshots(base_cfg, tmp_path, capsys):
+    state_dir = tmp_path / "state"
+    assert run(["simulate", "--config", base_cfg, "--output", str(state_dir),
+                "--snapshot-every", "1"]) == 0
+    bad = state_dir / "v_000003.ksf"
+    values, time = read_snapshot(bad)
+    values[2, 7] = np.inf
+    write_snapshot(bad, values, time)
+    capsys.readouterr()
+    rc = run(["adjoint", "--config", base_cfg, "--state-dir", str(state_dir),
+              "--output", str(tmp_path / "dual")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "non-finite" in err[0]
 
 
 def test_cli_adjoint_round_trip(base_cfg, tmp_path):

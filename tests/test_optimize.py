@@ -33,9 +33,9 @@ GRID = GridSpec(Lx=1.0, Ly=1.0, nx=8, ny=8)
 
 
 def _constant_state(tg, u_val, v_val):
-    u = [constant_field(GRID, u_val) for _ in range(tg.nt + 1)]
-    v = [constant_field(GRID, v_val) for _ in range(tg.nt + 1)]
-    return StateTrajectory(time_grid=tg, u=u, v=v)
+    shape = (tg.nt + 1, GRID.nx, GRID.ny)
+    return StateTrajectory(time_grid=tg, grid=GRID, u=np.full(shape, u_val),
+                           v=np.full(shape, v_val))
 
 
 def _tracking_problem(nt=6, gamma_f=1e-3, admissible=AdmissibleSet(),

@@ -88,7 +88,7 @@ def test_monitor_recomputes_residual_without_diagnostics():
     state = solve_forward(u0, v0, f, params, tg,
                           settings=PicardSettings(tol=1e-13, max_iters=300),
                           cg_tol=1e-13)
-    bare = StateTrajectory(time_grid=tg, u=state.u, v=state.v)
+    bare = StateTrajectory(time_grid=tg, grid=GRID, u=state.u, v=state.v)
     rep = monitor_invariants(bare, params)
     assert rep.mass_identity_ok
     assert np.abs(rep.mass_identity_residual).max() < 1e-13
@@ -252,21 +252,18 @@ def test_fd_gradient_rejects_mismatched_direction():
 def test_trajectory_distance_of_constant_shift():
     params = ModelParams(kappa=1.0, r=1.0, mu=2.0)
     tg = TimeGrid(T=0.5, nt=5)
-    u = [constant_field(GRID, 0.3) for _ in range(6)]
-    v = [constant_field(GRID, 0.4) for _ in range(6)]
-    a = StateTrajectory(time_grid=tg, u=u, v=v)
-    b = StateTrajectory(
-        time_grid=tg,
-        u=[constant_field(GRID, 1.3) for _ in range(6)],
-        v=[constant_field(GRID, 0.4) for _ in range(6)],
-    )
+    shape = (6, GRID.nx, GRID.ny)
+    u = np.full(shape, 0.3)
+    v = np.full(shape, 0.4)
+    a = StateTrajectory(time_grid=tg, grid=GRID, u=u, v=v)
+    b = StateTrajectory(time_grid=tg, grid=GRID, u=np.full(shape, 1.3), v=np.full(shape, 0.4))
     du, dv = trajectory_l2_distance(a, b)
     # |u - u'| = 1 over the unit square for half a unit of time
     np.testing.assert_allclose(du, np.sqrt(0.5), rtol=1e-13)
     assert dv == 0.0
     with pytest.raises(ValueError, match="time grids"):
         trajectory_l2_distance(a, StateTrajectory(
-            time_grid=TimeGrid(T=0.5, nt=4), u=u[:5], v=v[:5]))
+            time_grid=TimeGrid(T=0.5, nt=4), grid=GRID, u=u[:5], v=v[:5]))
 
 
 def test_mms_machinery_shows_spatial_error_collapse():
