@@ -33,8 +33,7 @@ where ``T`` is the exact transpose of the conservative chemotaxis stencil
 (a discrete ``-grad lam . grad v``).  Note the sign of the coupling
 ``+kappa div(u_+ grad lam)`` in the ``eta`` equation: with the opposite
 sign the assembled gradient fails every finite-difference check for
-``kappa != 0``, while with this one the mismatch sits at the quadrature
-level and vanishes under refinement.
+``kappa != 0``, while with this one it passes them to solver tolerance.
 
 `solve_linearized_dual` marches the exact transpose of the sweep forward
 in time; it is the Gateaux derivative of the discrete trajectory map and
@@ -254,8 +253,8 @@ def solve_linearized_dual(
     the converged forward scheme around ``state``.  ``source_u[m]`` and
     ``source_v[m]`` (arrays of shape ``(nt, nx, ny)``) enter the step
     producing level ``m+1``; ``U[m], V[m]`` (same shape) approximate the
-    trajectory perturbation at level ``m+1``.  A perturbation ``df`` of the control corresponds to
-    ``source_v[m] = df^m v^{m+1} 1_C``.
+    trajectory perturbation at level ``m+1``.  A perturbation ``df`` of
+    the control corresponds to ``source_v[m] = df^m v^{m+1} 1_C``.
 
     Within each level ``U`` and ``V`` are coupled exactly as in the dual
     sweep, and the same inner fixed point resolves the coupling, so the

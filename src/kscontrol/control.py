@@ -190,18 +190,15 @@ def reduced_gradient(
 ) -> GradientField:
     """Gradient of the reduced cost with respect to the control.
 
-    Per level ``n`` and masked cell: ``gamma_f * sgn(f) |f|^(p-1) + v @ eta``
-    with the state and the multiplier both sampled at level ``n`` - the
-    left-endpoint sampling that matches the control quadrature.  The exact
-    discrete pairing would use the implicit state value ``v^{n+1}``; the
-    left-endpoint choice differs from it by one time step's drift of ``v``,
-    an O(tau) perturbation that vanishes under refinement and is far inside
-    every tolerance the optimizer works to.  (Both factors shrink together
-    near a tracking optimum, where ``eta -> 0``.)
+    Per level ``n`` and masked cell: ``gamma_f * sgn(f) |f|^(p-1) +
+    v^{n+1}_+ eta^n``.  The step ``n -> n+1`` multiplies ``f^n`` by the
+    positive part of its implicit signal ``v^{n+1}``, and ``eta^n`` is that
+    step's multiplier, so this is the exact derivative of the discrete cost
+    (to solver tolerance, wherever the trajectory stays positive).
     """
     inside = f.region.inside
     nt = f.time_grid.nt
-    vals = state.v[:nt][:, inside] * adjoint.eta[:nt][:, inside]
+    vals = np.maximum(state.v[1:], 0.0)[:, inside] * adjoint.eta[:nt][:, inside]
     if gamma_f != 0.0:
         fv = f.values
         vals = vals + gamma_f * np.sign(fv) * np.abs(fv) ** (p - 1.0)

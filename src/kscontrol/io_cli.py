@@ -579,8 +579,8 @@ def _cmd_adjoint(args) -> int:
     for n in range(nt + 1):
         write_snapshot(out / f"lam_{n:06d}.ksf", adj.lam[n], times[n])
         write_snapshot(out / f"eta_{n:06d}.ksf", adj.eta[n], times[n])
-    lam0 = mesh.l2_norm_array(adj.lam[0], grid.cell_area)
-    eta0 = mesh.l2_norm_array(adj.eta[0], grid.cell_area)
+    lam0 = mesh.l2_norm_array(adj.lam[0], adj.grid.cell_area)
+    eta0 = mesh.l2_norm_array(adj.eta[0], adj.grid.cell_area)
     print(f"adjoint: swept {nt} steps backward; |lam(0)|_L2={lam0!r} |eta(0)|_L2={eta0!r}")
     print(f"wrote {2 * (nt + 1)} snapshot(s) to {out}")
     return 0
@@ -764,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(gc)
     gc.add_argument("--directions", type=int, default=5)
     gc.add_argument("--eps", type=float, default=1e-5)
-    gc.add_argument("--tol", type=float, default=2e-2,
+    gc.add_argument("--tol", type=float, default=1e-4,
                     help="largest acceptable relative error")
 
     inv = sub.add_parser("invariants", help="run the solver and check its invariants")

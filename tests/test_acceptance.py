@@ -273,12 +273,16 @@ def test_G1_gradient_consistency():
 
     errs_coarse = _g1_errors(coarse, modes_list, d_coarse)
     print(f"G1 coarse (32^2, nt=100) relative errors {errs_coarse}")
-    assert errs_coarse.max() <= 2e-2
+    # exact discrete gradient: the errors are finite-difference and solver
+    # noise, at most 6.4e-8 here; the bound leaves a factor 15
+    assert errs_coarse.max() <= 1e-6
 
     fine = _g1_problem(64, 200)
     errs_fine = _g1_errors(fine, modes_list, _g1_gradient(fine, _g1_control(fine)))
     print(f"G1 fine   (64^2, nt=200) relative errors {errs_fine}")
-    assert np.all(errs_fine <= errs_coarse + 1e-9)
+    # refinement cannot shrink noise, so the fine run gets the same absolute
+    # bound (at most 4.4e-8 seen) instead of a comparison with the coarse run
+    assert errs_fine.max() <= 1e-6
 
     # assembled finite-difference gradient, every control dof of a small run
     small = _g1_problem(8, 20)
@@ -301,7 +305,9 @@ def test_G1_gradient_consistency():
     cosine = float(np.sum(d_small * fd_vals)
                    / np.sqrt(np.sum(d_small**2) * np.sum(fd_vals**2)))
     print(f"G1 assembled-gradient cosine similarity {cosine:.6f}")
-    assert cosine >= 0.999
+    # 1 - cosine was 5.3e-13 (eps = 1e-3 truncation); an O(tau) pairing
+    # error gave 1.1e-4
+    assert cosine >= 1.0 - 1e-9
 
 
 # ----------------------------------------------------------------------
