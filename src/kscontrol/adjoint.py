@@ -221,14 +221,15 @@ def solve_adjoint(
     tau = state.time_grid.tau
     lam = np.zeros((nt + 1, grid.nx, grid.ny))
     eta = np.zeros((nt + 1, grid.nx, grid.ny))
-    dev_u = state.u - targets.u_d
-    dev_v = state.v - targets.v_d
+    u_d = np.broadcast_to(targets.u_d, state.u.shape)
+    v_d = np.broadcast_to(targets.v_d, state.v.shape)
 
     for m in range(nt - 1, -1, -1):
+        u_new, v_new = state.u[m + 1], state.v[m + 1]
         try:
             lam[m], eta[m] = _dual_step(
-                grid, lam[m + 1], eta[m + 1], state.u[m + 1], state.v[m + 1],
-                control.array_at(m), dev_u[m + 1], dev_v[m + 1], params, weights, tau,
+                grid, lam[m + 1], eta[m + 1], u_new, v_new, control.array_at(m),
+                u_new - u_d[m + 1], v_new - v_d[m + 1], params, weights, tau,
                 scheme, cg_tol, settings, 0.5 if m + 1 == nt else 1.0,
             )
         except PicardDivergenceError as err:
