@@ -49,14 +49,8 @@ from .mesh import (
     Field2D,
     GridSpec,
     RegionMask,
-    chemotaxis_divergence,
-    chemotaxis_divergence_adjoint,
     constant_field,
     field_from_function,
-    integrate,
-    inner,
-    laplacian_neumann,
-    norms,
 )
 from .optimize import (
     ArmijoSettings,
@@ -123,8 +117,6 @@ __all__ = [
     "TimeGrid",
     "TrackingTargets",
     "analytic_references",
-    "chemotaxis_divergence",
-    "chemotaxis_divergence_adjoint",
     "constant_field",
     "control_cost",
     "cost_of_control",
@@ -133,14 +125,10 @@ __all__ = [
     "fd_gradient",
     "field_from_function",
     "heat_mode_decay_rate",
-    "inner",
-    "integrate",
     "kkt_report",
-    "laplacian_neumann",
     "logistic_closed_form",
     "mms_convergence",
     "monitor_invariants",
-    "norms",
     "picard_step",
     "project",
     "qc_norm",

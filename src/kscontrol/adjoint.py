@@ -63,7 +63,7 @@ from .forward import (
     coupled_fixed_point,
 )
 from .linalg import DEFAULT_CG_TOL
-from .mesh import Field2D, GridSpec, Scheme
+from .mesh import GridSpec, Scheme
 
 
 @dataclass
@@ -107,52 +107,31 @@ def _dual_coefficients(u_new: np.ndarray, f_now: np.ndarray, params: ModelParams
 
 
 def step_adjoint(
-    lambda_next: Field2D,
-    eta_next: Field2D,
-    state_new: tuple[Field2D, Field2D],
-    f_now: Field2D,
-    targets_new: tuple[Field2D, Field2D],
-    params: ModelParams,
-    weights: CostWeights,
-    tau: float,
-    scheme: Scheme = "central",
-    cg_tol: float = DEFAULT_CG_TOL,
-    settings: PicardSettings = PicardSettings(),
+    grid: GridSpec, lambda_next: np.ndarray, eta_next: np.ndarray, u_new: np.ndarray,
+    v_new: np.ndarray, f_now: np.ndarray, u_d: np.ndarray, v_d: np.ndarray,
+    params: ModelParams, weights: CostWeights, tau: float, scheme: Scheme = "central",
+    cg_tol: float = DEFAULT_CG_TOL, settings: PicardSettings = PicardSettings(),
     tracking_weight: float = 1.0,
-) -> tuple[Field2D, Field2D]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One backward step ``m+1 -> m`` of the coupled dual system.
 
     Parameters
     ----------
-    lambda_next, eta_next : Field2D
+    lambda_next, eta_next : ndarray
         Multipliers of the following step (zero at the terminal level).
-    state_new : (Field2D, Field2D)
+    u_new, v_new : ndarray
         The forward pair ``(u^{m+1}, v^{m+1})`` this step linearizes around.
-    f_now : Field2D
+    f_now : ndarray
         Control of step ``m`` scattered onto the grid.
-    targets_new : (Field2D, Field2D)
+    u_d, v_d : ndarray
         Tracking targets at level ``m+1``.
     tracking_weight : float
         Trapezoid weight of level ``m+1`` (1/2 at the final level).
 
-    The per-level fixed point lags the convection term and the
-    cross-coupling by one inner sweep; each sweep is two SPD solves.
+    All arrays have shape ``(nx, ny)`` on ``grid``.  The per-level fixed
+    point lags the convection term and the cross-coupling by one inner
+    sweep; each sweep is two SPD solves.
     """
-    u_new, v_new = state_new
-    u_d, v_d = targets_new
-    grid = mesh.check_same_grid(lambda_next, eta_next, u_new, v_new, f_now, u_d, v_d)
-    lam, eta = _dual_step(
-        grid, lambda_next.values, eta_next.values, u_new.values, v_new.values, f_now.values,
-        u_new.values - u_d.values, v_new.values - v_d.values, params, weights, tau, scheme,
-        cg_tol, settings, tracking_weight,
-    )
-    return Field2D(grid, lam), Field2D(grid, eta)
-
-
-def _dual_step(grid, lambda_next, eta_next, u_new, v_new, f_now, dev_u, dev_v, params,
-               weights, tau, scheme, cg_tol, settings, tracking_weight):
-    """Array body of `step_adjoint`; ``dev_u, dev_v`` are the tracking
-    deviations ``u^{m+1} - u_d, v^{m+1} - v_d``."""
     hx, hy = grid.hx, grid.hy
     inv_tau = 1.0 / tau
 
@@ -160,10 +139,10 @@ def _dual_step(grid, lambda_next, eta_next, u_new, v_new, f_now, dev_u, dev_v, p
 
     rhs_lam_base = lambda_next * inv_tau
     if weights.gamma_u != 0.0:
-        rhs_lam_base = rhs_lam_base + tracking_weight * weights.gamma_u * dev_u
+        rhs_lam_base = rhs_lam_base + tracking_weight * weights.gamma_u * (u_new - u_d)
     rhs_eta_base = eta_next * inv_tau
     if weights.gamma_v != 0.0:
-        rhs_eta_base = rhs_eta_base + tracking_weight * weights.gamma_v * dev_v
+        rhs_eta_base = rhs_eta_base + tracking_weight * weights.gamma_v * (v_new - v_d)
 
     def sweep(lam_bar: np.ndarray, eta_bar: np.ndarray):
         rhs_eta = rhs_eta_base
@@ -225,11 +204,10 @@ def solve_adjoint(
     v_d = np.broadcast_to(targets.v_d, state.v.shape)
 
     for m in range(nt - 1, -1, -1):
-        u_new, v_new = state.u[m + 1], state.v[m + 1]
         try:
-            lam[m], eta[m] = _dual_step(
-                grid, lam[m + 1], eta[m + 1], u_new, v_new, control.array_at(m),
-                u_new - u_d[m + 1], v_new - v_d[m + 1], params, weights, tau,
+            lam[m], eta[m] = step_adjoint(
+                grid, lam[m + 1], eta[m + 1], state.u[m + 1], state.v[m + 1],
+                control.array_at(m), u_d[m + 1], v_d[m + 1], params, weights, tau,
                 scheme, cg_tol, settings, 0.5 if m + 1 == nt else 1.0,
             )
         except PicardDivergenceError as err:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Literal, Optional
 import numpy as np
 
 from .errors import GridMismatchError
-from .mesh import Field2D, RegionMask
+from .mesh import RegionMask
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adjoint import AdjointTrajectory
@@ -61,9 +61,6 @@ class ControlField:
         full = np.zeros((self.region.grid.nx, self.region.grid.ny))
         full[self.region.inside] = self.values[level]
         return full
-
-    def field_at(self, level: int) -> Field2D:
-        return Field2D(self.region.grid, self.array_at(level))
 
     def copy(self) -> "ControlField":
         return ControlField(self.time_grid, self.region, self.values.copy())

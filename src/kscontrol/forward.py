@@ -192,17 +192,39 @@ def coupled_fixed_point(
     )
 
 
-# Array bodies of `step_v`, `step_u` and `picard_step`.  The Picard sweep
-# and `solve_forward` call them directly, so a march builds no Field2D.
-def _solve_v(grid, v_prev, ubar_pos, vbar_pos, f_now, tau, cg_tol, source=None, x0=None):
-    rhs = v_prev / tau + ubar_pos + f_now * vbar_pos
+def step_v(
+    grid: GridSpec, v_prev: np.ndarray, u_bar: np.ndarray, v_bar: np.ndarray,
+    f_now: np.ndarray, tau: float, cg_tol: float = DEFAULT_CG_TOL,
+    source: Optional[np.ndarray] = None, x0: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One implicit ``v`` solve with lagged positive-part sources.
+
+    Solves ``(1/tau + 1) v - lap v = v_prev / tau + u_bar_+ + f v_bar_+``
+    (plus ``source``) from the warm start ``x0``.  The matrix is symmetric
+    positive definite independent of the data; with nonnegative right-hand
+    side the M-matrix structure keeps ``v`` nonnegative.
+    """
+    rhs = v_prev / tau + np.maximum(u_bar, 0.0) + f_now * np.maximum(v_bar, 0.0)
     if source is not None:
         rhs = rhs + source
     return linalg.solve_shifted(grid, 1.0 / tau + 1.0, rhs, rtol=cg_tol, x0=x0)
 
 
-def _solve_u(grid, u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol, source=None, x0=None):
+def step_u(
+    grid: GridSpec, u_prev: np.ndarray, u_bar: np.ndarray, v_new: np.ndarray,
+    params: ModelParams, tau: float, scheme: Scheme = "central",
+    cg_tol: float = DEFAULT_CG_TOL, source: Optional[np.ndarray] = None,
+    x0: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One implicit ``u`` solve with lagged positive-part coefficients.
+
+    Solves ``(1/tau) u - lap u + mu ubar_+ u = u_prev / tau + r ubar_+
+    - kappa div(ubar_+ grad v_new)`` (plus ``source``) from the warm start
+    ``x0``.  After the CG solve the residual of the discrete mass identity
+    is redistributed uniformly, making the identity exact to round-off.
+    """
     area = grid.cell_area
+    ubar_pos = np.maximum(u_bar, 0.0)
     rhs = u_prev / tau + params.r * ubar_pos
     if params.kappa != 0.0:
         rhs = rhs - params.kappa * mesh.chemotaxis_divergence_arrays(
@@ -229,70 +251,18 @@ def _solve_u(grid, u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol, source=
     return u_new
 
 
-def step_v(
-    v_prev: Field2D,
-    u_bar: Field2D,
-    v_bar: Field2D,
-    f_now: Field2D,
-    tau: float,
-    cg_tol: float = DEFAULT_CG_TOL,
-) -> Field2D:
-    """One implicit ``v`` solve with lagged positive-part sources.
-
-    Solves ``(1/tau + 1) v - lap v = v_prev / tau + u_bar_+ + f v_bar_+``.
-    The matrix is symmetric positive definite independent of the data; with
-    nonnegative right-hand side the M-matrix structure keeps ``v`` nonnegative.
-    """
-    grid = mesh.check_same_grid(v_prev, u_bar, v_bar, f_now)
-    return Field2D(grid, _solve_v(grid, v_prev.values, np.maximum(u_bar.values, 0.0),
-                                  np.maximum(v_bar.values, 0.0), f_now.values, tau, cg_tol))
-
-
-def step_u(
-    u_prev: Field2D,
-    u_bar: Field2D,
-    v_new: Field2D,
-    params: ModelParams,
-    tau: float,
-    scheme: Scheme = "central",
-    cg_tol: float = DEFAULT_CG_TOL,
-) -> Field2D:
-    """One implicit ``u`` solve with lagged positive-part coefficients.
-
-    Solves ``(1/tau) u - lap u + mu ubar_+ u = u_prev / tau + r ubar_+
-    - kappa div(ubar_+ grad v_new)``.  After the CG solve the residual of
-    the discrete mass identity is redistributed uniformly, making the
-    identity exact to round-off.
-    """
-    grid = mesh.check_same_grid(u_prev, u_bar, v_new)
-    return Field2D(grid, _solve_u(grid, u_prev.values, np.maximum(u_bar.values, 0.0),
-                                  v_new.values, params, tau, scheme, cg_tol))
-
-
-@dataclass(frozen=True)
-class PicardResult:
-    u_new: Field2D
-    v_new: Field2D
-    iterations: int
-    int_u_bar: float
-    int_u_bar_u_new: float
-    mass_identity_residual: float
-
-
 def picard_step(
-    u_prev: Field2D,
-    v_prev: Field2D,
-    f_now: Field2D,
-    params: ModelParams,
-    tau: float,
-    settings: PicardSettings = PicardSettings(),
-    scheme: Scheme = "central",
-    cg_tol: float = DEFAULT_CG_TOL,
-) -> PicardResult:
+    grid: GridSpec, u_prev: np.ndarray, v_prev: np.ndarray, f_now: np.ndarray,
+    params: ModelParams, tau: float, settings: PicardSettings = PicardSettings(),
+    scheme: Scheme = "central", cg_tol: float = DEFAULT_CG_TOL,
+    source_u: Optional[np.ndarray] = None, source_v: Optional[np.ndarray] = None,
+) -> tuple[Pair, tuple[int, float, float, float]]:
     """Advance one step by fixed-point iteration on the decoupled solves.
 
     Starting from ``(u_prev, v_prev)``, each sweep solves ``v`` then ``u``
     with the other iterate's positive part frozen (`coupled_fixed_point`).
+    Returns the new pair ``(u_new, v_new)`` and the step's diagnostics
+    ``(sweeps, int_u_bar, int_u_bar_u_new, mass_identity_residual)``.
 
     Raises
     ------
@@ -301,24 +271,12 @@ def picard_step(
         soon as the iterates blow up (relative increment beyond any useful
         scale), so a hopeless step fails fast instead of overflowing.
     """
-    grid = mesh.check_same_grid(u_prev, v_prev, f_now)
-    (u_new, v_new), diagnostics = _picard(grid, u_prev.values, v_prev.values, f_now.values,
-                                          params, tau, settings, scheme, cg_tol)
-    return PicardResult(Field2D(grid, u_new), Field2D(grid, v_new), *diagnostics)
-
-
-def _picard(grid, u_prev, v_prev, f_now, params, tau, settings, scheme, cg_tol,
-            source_u=None, source_v=None):
-    """Array body of `picard_step`: the new pair and the step's diagnostics
-    ``(sweeps, int_u_bar, int_u_bar_u_new, mass_identity_residual)``."""
     area = grid.cell_area
 
     def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
-        ubar_pos = np.maximum(u_bar, 0.0)
-        v_new = _solve_v(grid, v_prev, ubar_pos, np.maximum(v_bar, 0.0), f_now, tau, cg_tol,
-                         source_v, v_bar)
-        u_new = _solve_u(grid, u_prev, ubar_pos, v_new, params, tau, scheme, cg_tol,
-                         source_u, u_bar)
+        v_new = step_v(grid, v_prev, u_bar, v_bar, f_now, tau, cg_tol, source_v, v_bar)
+        u_new = step_u(grid, u_prev, u_bar, v_new, params, tau, scheme, cg_tol,
+                       source_u, u_bar)
         return u_new, v_new
 
     (u_new, v_new), (u_bar, _), sweeps = coupled_fixed_point(
@@ -397,8 +355,8 @@ def solve_forward(
         try:
             (u[n + 1], v[n + 1]), (
                 picard_iters[n], int_u_bar[n], int_u_bar_u_new[n], mass_residual[n]
-            ) = _picard(grid, u[n], v[n], control.array_at(n), params, tau, settings,
-                        scheme, cg_tol, src_u, src_v)
+            ) = picard_step(grid, u[n], v[n], control.array_at(n), params, tau, settings,
+                            scheme, cg_tol, src_u, src_v)
         except PicardDivergenceError as err:
             err.time_index = n
             raise

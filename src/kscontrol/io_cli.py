@@ -310,6 +310,13 @@ def _positive(cfg: dict, key: str, what: str) -> float:
     return value
 
 
+def _finite(cfg: dict, key: str, what: str) -> float:
+    value = float(cfg[key])
+    if not np.isfinite(value):
+        raise ConfigError(key, f"{what} must be finite")
+    return value
+
+
 def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
     """Validate a configuration and build every solver object it describes.
 
@@ -338,7 +345,8 @@ def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
             "model.p_exponent", "the control-cost exponent must lie strictly between 2 and 3"
         )
     params = ModelParams(
-        kappa=float(cfg["model.kappa"]), r=float(cfg["model.r"]), mu=mu, p_exponent=p
+        kappa=_finite(cfg, "model.kappa", "the chemotactic sensitivity"),
+        r=_finite(cfg, "model.r", "the growth rate"), mu=mu, p_exponent=p,
     )
 
     scheme = str(cfg["forward.scheme"])
@@ -378,9 +386,9 @@ def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
             "control.kind", f"expected 'unconstrained' or 'box', got {kind!r}"
         )
 
-    gamma_u = float(cfg["cost.gamma_u"])
-    gamma_v = float(cfg["cost.gamma_v"])
-    gamma_f = float(cfg["cost.gamma_f"])
+    gamma_u = _finite(cfg, "cost.gamma_u", "a cost weight")
+    gamma_v = _finite(cfg, "cost.gamma_v", "a cost weight")
+    gamma_f = _finite(cfg, "cost.gamma_f", "a cost weight")
     for key, value in (("cost.gamma_u", gamma_u), ("cost.gamma_v", gamma_v),
                        ("cost.gamma_f", gamma_f)):
         if value < 0:

@@ -48,9 +48,12 @@ def solve_cg(
     Raises
     ------
     LinearSolverError
-        If the residual target is not met within the iteration cap.
+        If the norm of ``rhs`` is not finite, or the residual target is not
+        met within the iteration cap.
     """
     b_norm = float(np.sqrt(np.sum(rhs * rhs)))
+    if not np.isfinite(b_norm):
+        raise LinearSolverError("conjugate gradient: right-hand side norm is not finite", b_norm)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
     if max_iters is None:

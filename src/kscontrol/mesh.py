@@ -4,21 +4,23 @@ The grid covers ``[0, Lx] x [0, Ly]`` with ``nx * ny`` uniform cells; all
 unknowns live at cell centers ``((i + 0.5) hx, (j + 0.5) hy)`` stored in
 arrays of shape ``(nx, ny)``.  Homogeneous Neumann conditions enter through
 mirrored ghost cells, which makes every operator here conservative: the
-discrete integral of ``laplacian_neumann`` and of ``chemotaxis_divergence``
-vanishes identically because interior face fluxes telescope and boundary
-fluxes are zero by construction.
+discrete integral of ``laplacian_array`` and of
+``chemotaxis_divergence_arrays`` vanishes identically because interior face
+fluxes telescope and boundary fluxes are zero by construction.
 
 Besides the two divergence-form operators the module provides the exact
 transpose of the chemotaxis stencil with respect to its density argument
 (needed by the dual problem) and a face-coefficient diffusion operator that
 is self-transposed.  Keeping the transposes here, next to the stencils they
 mirror, is what makes the discrete duality identity checkable to solver
-precision.
+precision.  Every operator maps plain ``(nx, ny)`` arrays to arrays;
+`Field2D` only checks values that enter from outside (initial data,
+targets, sampled expressions) against their grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -79,9 +81,6 @@ class Field2D:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def copy(self) -> "Field2D":
-        return Field2D(self.grid, self.values.copy())
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.values, dtype=dtype, copy=copy)
 
@@ -136,7 +135,7 @@ def check_same_grid(*objs) -> GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# raw-array kernels (shape (nx, ny); hot paths, no Field2D wrapping)
+# stencils on (nx, ny) arrays
 # ---------------------------------------------------------------------------
 
 def laplacian_array(vals: np.ndarray, hx: float, hy: float) -> np.ndarray:
@@ -252,42 +251,6 @@ def weighted_diffusion_arrays(
     return out
 
 
-# ---------------------------------------------------------------------------
-# Field2D-level API
-# ---------------------------------------------------------------------------
-
-def laplacian_neumann(f: Field2D) -> Field2D:
-    """Discrete Laplacian with zero-flux boundaries.
-
-    Exact on constants, self-transposed, and ``integrate(laplacian(f)) == 0``
-    to round-off for any field.
-    """
-    return Field2D(f.grid, laplacian_array(f.values, f.grid.hx, f.grid.hy))
-
-
-def chemotaxis_divergence(u: Field2D, v: Field2D, scheme: Scheme = "central") -> Field2D:
-    """Conservative discretization of ``div(u grad v)``; sign applied by caller."""
-    grid = check_same_grid(u, v)
-    return Field2D(grid, chemotaxis_divergence_arrays(u.values, v.values, grid.hx, grid.hy, scheme))
-
-
-def chemotaxis_divergence_adjoint(w: Field2D, v: Field2D, scheme: Scheme = "central") -> Field2D:
-    """Transpose of ``chemotaxis_divergence`` in its density argument."""
-    grid = check_same_grid(w, v)
-    return Field2D(grid, chemotaxis_adjoint_arrays(w.values, v.values, grid.hx, grid.hy, scheme))
-
-
-def integrate(f: Field2D) -> float:
-    """Cell-area quadrature of the field over the whole rectangle."""
-    return float(f.values.sum()) * f.grid.cell_area
-
-
-def inner(f: Field2D, g: Field2D) -> float:
-    """Discrete L2 inner product (cell-area weighted)."""
-    check_same_grid(f, g)
-    return float(np.sum(f.values * g.values)) * f.grid.cell_area
-
-
 def l2_norm_array(vals: np.ndarray, cell_area: float) -> float:
     return float(np.sqrt(np.sum(vals * vals) * cell_area))
 
@@ -299,28 +262,3 @@ def h1_seminorm_array(vals: np.ndarray, hx: float, hy: float, cell_area: float):
     gy = (vals[..., 1:] - vals[..., :-1]) / hy
     axes = (-2, -1)
     return np.sqrt((np.sum(gx * gx, axis=axes) + np.sum(gy * gy, axis=axes)) * cell_area)
-
-
-@dataclass(frozen=True)
-class FieldNorms:
-    l2: float
-    lp: float
-    h1_seminorm: float
-    linf: float
-
-
-def norms(f: Field2D, p: float = 2.0) -> FieldNorms:
-    """Discrete L2, Lp, H1-seminorm (face differences) and max norms.
-
-    ``p`` must lie in (1, inf); ``lp`` with ``p = 2`` coincides with ``l2``.
-    """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-    g = f.grid
-    vals = f.values
-    area = g.cell_area
-    l2 = l2_norm_array(vals, area)
-    lp = float(np.sum(np.abs(vals) ** p) * area) ** (1.0 / p)
-    h1 = float(h1_seminorm_array(vals, g.hx, g.hy, area))
-    linf = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return FieldNorms(l2=l2, lp=lp, h1_seminorm=h1, linf=linf)

@@ -155,23 +155,20 @@ def test_manual_backward_composition_matches_solver():
     targets = _targets()
     adj = solve_adjoint(state, f, targets, params, weights)
 
-    lam = constant_field(GRID, 0.0)
-    eta = constant_field(GRID, 0.0)
+    lam = np.zeros((GRID.nx, GRID.ny))
+    eta = np.zeros((GRID.nx, GRID.ny))
     levels = [(lam, eta)]
     for m in range(tg.nt - 1, -1, -1):
         lam, eta = step_adjoint(
-            lam, eta,
-            (Field2D(GRID, state.u[m + 1]), Field2D(GRID, state.v[m + 1])),
-            f.field_at(m),
-            (Field2D(GRID, targets.u_d), Field2D(GRID, targets.v_d)),
-            params, weights, tg.tau,
+            GRID, lam, eta, state.u[m + 1], state.v[m + 1], f.array_at(m),
+            targets.u_d, targets.v_d, params, weights, tg.tau,
             tracking_weight=0.5 if m + 1 == tg.nt else 1.0,
         )
         levels.append((lam, eta))
     levels.reverse()
     for m in range(tg.nt + 1):
-        np.testing.assert_array_equal(adj.lam[m], levels[m][0].values)
-        np.testing.assert_array_equal(adj.eta[m], levels[m][1].values)
+        np.testing.assert_array_equal(adj.lam[m], levels[m][0])
+        np.testing.assert_array_equal(adj.eta[m], levels[m][1])
 
 
 def test_linearized_solver_matches_forward_differences():
@@ -224,21 +221,20 @@ def test_duality_identity(scheme):
 def test_step_conditioning_guards():
     params = ModelParams(kappa=0.0, r=0.5, mu=1.0)
     tau = 0.1
-    zero = constant_field(GRID, 0.0)
-    state_new = (constant_field(GRID, 0.5), constant_field(GRID, 0.5))
-    targets_new = (zero, zero)
+    zero = np.zeros((GRID.nx, GRID.ny))
+    half = np.full((GRID.nx, GRID.ny), 0.5)
     weights = CostWeights(1.0, 1.0, 0.0)
 
     # 1/tau + 1 - f <= 0: the eta solve would lose definiteness
     with pytest.raises(StepConditioningError, match="signal"):
-        step_adjoint(zero, zero, state_new, constant_field(GRID, 12.0),
-                     targets_new, params, weights, tau)
+        step_adjoint(GRID, zero, zero, half, half, np.full((GRID.nx, GRID.ny), 12.0),
+                     zero, zero, params, weights, tau)
 
     # 1/tau + 2 mu u_+ - r <= 0: the lam solve would lose definiteness
     strong_r = ModelParams(kappa=0.0, r=30.0, mu=1.0)
     with pytest.raises(StepConditioningError, match="density"):
-        step_adjoint(zero, zero, (zero, zero), constant_field(GRID, 0.0),
-                     targets_new, strong_r, weights, tau)
+        step_adjoint(GRID, zero, zero, zero, zero, zero,
+                     zero, zero, strong_r, weights, tau)
 
 
 def test_dual_fixed_point_stall_is_reported():

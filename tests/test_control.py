@@ -56,10 +56,10 @@ def test_control_region_must_be_nonempty():
 
 def test_field_at_scatters_onto_region_only():
     f = ControlField.from_constant(TG, REGION, 2.5)
-    field = f.field_at(4)
-    assert field.grid == GRID
-    np.testing.assert_array_equal(field.values[REGION.inside], 2.5)
-    np.testing.assert_array_equal(field.values[~REGION.inside], 0.0)
+    field = f.array_at(4)
+    assert field.shape == (GRID.nx, GRID.ny)
+    np.testing.assert_array_equal(field[REGION.inside], 2.5)
+    np.testing.assert_array_equal(field[~REGION.inside], 0.0)
 
 
 def test_layout_matches():

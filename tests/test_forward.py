@@ -21,8 +21,7 @@ from kscontrol.mesh import (
     RegionMask,
     constant_field,
     field_from_function,
-    integrate,
-    laplacian_neumann,
+    laplacian_array,
 )
 from kscontrol.verify import logistic_closed_form
 
@@ -34,6 +33,10 @@ def _zero_control(time_grid, grid=GRID):
     return ControlField.zeros(time_grid, region)
 
 
+def _const(value, grid=GRID):
+    return np.full((grid.nx, grid.ny), value)
+
+
 # ----------------------------------------------------------------------
 # single steps
 
@@ -42,64 +45,34 @@ def test_step_v_constant_decay():
     # (1/tau + 1) v = c / tau  =>  v = c / (1 + tau), a pure relaxation
     tau = 0.125
     c = 2.0
-    v = step_v(
-        constant_field(GRID, c),
-        constant_field(GRID, 0.0),
-        constant_field(GRID, 0.0),
-        constant_field(GRID, 0.0),
-        tau,
-    )
-    np.testing.assert_allclose(v.values, c / (1.0 + tau), rtol=1e-13)
+    v = step_v(GRID, _const(c), _const(0.0), _const(0.0), _const(0.0), tau)
+    np.testing.assert_allclose(v, c / (1.0 + tau), rtol=1e-13)
 
 
 def test_step_v_constant_sources():
     tau = 0.1
     c, b, phi = 1.5, 0.75, 0.4
-    v = step_v(
-        constant_field(GRID, 0.0),
-        constant_field(GRID, c),
-        constant_field(GRID, b),
-        constant_field(GRID, phi),
-        tau,
-    )
-    np.testing.assert_allclose(v.values, tau * (c + phi * b) / (1.0 + tau), rtol=1e-13)
+    v = step_v(GRID, _const(0.0), _const(c), _const(b), _const(phi), tau)
+    np.testing.assert_allclose(v, tau * (c + phi * b) / (1.0 + tau), rtol=1e-13)
 
 
 def test_step_v_clips_negative_lagged_iterates():
     # a negative u_bar must not act as a sink
     tau = 0.1
-    v_neg = step_v(
-        constant_field(GRID, 1.0),
-        constant_field(GRID, -5.0),
-        constant_field(GRID, -3.0),
-        constant_field(GRID, 2.0),
-        tau,
-    )
-    v_zero = step_v(
-        constant_field(GRID, 1.0),
-        constant_field(GRID, 0.0),
-        constant_field(GRID, 0.0),
-        constant_field(GRID, 2.0),
-        tau,
-    )
-    np.testing.assert_array_equal(v_neg.values, v_zero.values)
+    v_neg = step_v(GRID, _const(1.0), _const(-5.0), _const(-3.0), _const(2.0), tau)
+    v_zero = step_v(GRID, _const(1.0), _const(0.0), _const(0.0), _const(2.0), tau)
+    np.testing.assert_array_equal(v_neg, v_zero)
 
 
 def test_step_v_cosine_mode_tracks_continuum_decay():
     """One implicit step of the cosine mode against exp(-(1 + pi^2) tau)."""
     g = GridSpec(Lx=1.0, Ly=1.0, nx=32, ny=32)
     tau = 1e-3
-    v0 = field_from_function(g, lambda x, y: np.cos(np.pi * x))
-    v1 = step_v(
-        v0,
-        constant_field(g, 0.0),
-        constant_field(g, 0.0),
-        constant_field(g, 0.0),
-        tau,
-        cg_tol=1e-13,
-    )
-    ref = np.exp(-(1.0 + np.pi**2) * tau) * v0.values
-    assert np.max(np.abs(v1.values - ref)) < 2e-4
+    v0 = field_from_function(g, lambda x, y: np.cos(np.pi * x)).values
+    zero = _const(0.0, g)
+    v1 = step_v(g, v0, zero, zero, zero, tau, cg_tol=1e-13)
+    ref = np.exp(-(1.0 + np.pi**2) * tau) * v0
+    assert np.max(np.abs(v1 - ref)) < 2e-4
 
 
 def test_step_u_constant_logistic_update():
@@ -108,15 +81,9 @@ def test_step_u_constant_logistic_update():
     params = ModelParams(kappa=0.7, r=1.3, mu=2.0)
     tau = 0.05
     c = 0.6
-    u = step_u(
-        constant_field(GRID, c),
-        constant_field(GRID, c),
-        constant_field(GRID, 0.9),
-        params,
-        tau,
-    )
+    u = step_u(GRID, _const(c), _const(c), _const(0.9), params, tau)
     expected = (c / tau + params.r * c) / (1.0 / tau + params.mu * c)
-    np.testing.assert_allclose(u.values, expected, rtol=1e-13)
+    np.testing.assert_allclose(u, expected, rtol=1e-13)
 
 
 def test_step_u_nonpositive_ubar_is_a_heat_step():
@@ -127,23 +94,17 @@ def test_step_u_nonpositive_ubar_is_a_heat_step():
     g = GridSpec(Lx=1.0, Ly=1.0, nx=6, ny=5)
     params = ModelParams(kappa=2.0, r=5.0, mu=3.0)
     tau = 0.2
-    u_prev = Field2D(g, rng.uniform(0.5, 1.5, size=(6, 5)))
-    u = step_u(
-        u_prev,
-        constant_field(g, -1.0),
-        Field2D(g, rng.uniform(0.0, 1.0, size=(6, 5))),
-        params,
-        tau,
-        cg_tol=1e-13,
-    )
+    u_prev = rng.uniform(0.5, 1.5, size=(6, 5))
+    u = step_u(g, u_prev, _const(-1.0, g), rng.uniform(0.0, 1.0, size=(6, 5)),
+               params, tau, cg_tol=1e-13)
     n = 30
     mat = np.zeros((n, n))
     for j in range(n):
         e = np.zeros((6, 5))
         e.flat[j] = 1.0
-        mat[:, j] = (e / tau - laplacian_neumann(Field2D(g, e)).values).ravel()
-    ref = np.linalg.solve(mat, u_prev.values.ravel() / tau)
-    np.testing.assert_allclose(u.values.ravel(), ref, rtol=1e-9, atol=1e-11)
+        mat[:, j] = (e / tau - laplacian_array(e, g.hx, g.hy)).ravel()
+    ref = np.linalg.solve(mat, u_prev.ravel() / tau)
+    np.testing.assert_allclose(u.ravel(), ref, rtol=1e-9, atol=1e-11)
 
 
 @pytest.mark.parametrize("scheme", ["central", "upwind"])
@@ -155,16 +116,17 @@ def test_step_u_mass_identity_holds_to_round_off(scheme):
     g = GridSpec(Lx=1.0, Ly=1.0, nx=12, ny=12)
     params = ModelParams(kappa=1.0, r=0.8, mu=1.5)
     tau = 0.05
-    u_prev = Field2D(g, rng.uniform(0.0, 2.0, size=(12, 12)))
-    u_bar = Field2D(g, rng.uniform(-0.5, 2.0, size=(12, 12)))
-    v_new = Field2D(g, rng.uniform(0.0, 1.0, size=(12, 12)))
-    u_new = step_u(u_prev, u_bar, v_new, params, tau, scheme=scheme, cg_tol=1e-12)
+    u_prev = rng.uniform(0.0, 2.0, size=(12, 12))
+    u_bar = rng.uniform(-0.5, 2.0, size=(12, 12))
+    v_new = rng.uniform(0.0, 1.0, size=(12, 12))
+    u_new = step_u(g, u_prev, u_bar, v_new, params, tau, scheme=scheme, cg_tol=1e-12)
 
-    ubar_pos = Field2D(g, np.maximum(u_bar.values, 0.0))
+    def integrate(vals):
+        return float(vals.sum()) * g.cell_area
+
+    ubar_pos = np.maximum(u_bar, 0.0)
     lhs = (integrate(u_new) - integrate(u_prev)) / tau
-    rhs = params.r * integrate(ubar_pos) - params.mu * integrate(
-        Field2D(g, ubar_pos.values * u_new.values)
-    )
+    rhs = params.r * integrate(ubar_pos) - params.mu * integrate(ubar_pos * u_new)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -178,38 +140,66 @@ def test_picard_two_sweeps_in_the_near_linear_regime():
     # solution and the second merely confirms it
     rng = np.random.default_rng(43)
     params = ModelParams(kappa=0.0, r=0.0, mu=1e-12)
-    u0 = constant_field(GRID, 0.7)
-    v0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
-    result = picard_step(
-        u0, v0, constant_field(GRID, 0.0), params, tau=0.05,
+    u0 = _const(0.7)
+    v0 = rng.uniform(0.2, 1.0, size=(8, 8))
+    _, (iterations, *_) = picard_step(
+        GRID, u0, v0, _const(0.0), params, tau=0.05,
         settings=PicardSettings(tol=1e-9, max_iters=20),
     )
-    assert result.iterations <= 2
+    assert iterations <= 2
 
 
 def test_picard_tightening_tol_barely_moves_the_iterate():
     rng = np.random.default_rng(44)
     params = ModelParams(kappa=1.0, r=0.5, mu=1.0)
-    u0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
-    v0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
-    f = constant_field(GRID, 0.3)
-    loose = picard_step(u0, v0, f, params, tau=0.05,
-                        settings=PicardSettings(tol=1e-6, max_iters=50), cg_tol=1e-13)
-    tight = picard_step(u0, v0, f, params, tau=0.05,
-                        settings=PicardSettings(tol=1e-13, max_iters=200), cg_tol=1e-13)
-    du = np.max(np.abs(loose.u_new.values - tight.u_new.values))
-    assert du < 1e-6 * np.max(np.abs(tight.u_new.values))
+    u0 = rng.uniform(0.2, 1.0, size=(8, 8))
+    v0 = rng.uniform(0.2, 1.0, size=(8, 8))
+    f = _const(0.3)
+    (loose_u, _), _ = picard_step(GRID, u0, v0, f, params, tau=0.05,
+                                  settings=PicardSettings(tol=1e-6, max_iters=50),
+                                  cg_tol=1e-13)
+    (tight_u, _), _ = picard_step(GRID, u0, v0, f, params, tau=0.05,
+                                  settings=PicardSettings(tol=1e-13, max_iters=200),
+                                  cg_tol=1e-13)
+    du = np.max(np.abs(loose_u - tight_u))
+    assert du < 1e-6 * np.max(np.abs(tight_u))
 
 
 def test_picard_raises_after_iteration_cap():
     rng = np.random.default_rng(45)
     params = ModelParams(kappa=1.0, r=0.5, mu=1.0)
-    u0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
-    v0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
+    u0 = rng.uniform(0.2, 1.0, size=(8, 8))
+    v0 = rng.uniform(0.2, 1.0, size=(8, 8))
     with pytest.raises(PicardDivergenceError) as exc:
-        picard_step(u0, v0, constant_field(GRID, 0.0), params, tau=0.1,
+        picard_step(GRID, u0, v0, _const(0.0), params, tau=0.1,
                     settings=PicardSettings(tol=1e-15, max_iters=1))
     assert exc.value.last_increment > 0.0
+
+
+def test_manual_forward_composition_matches_solver():
+    # stepping by hand level by level reproduces the solver bitwise,
+    # trajectory and diagnostics, so the march is nothing more than the
+    # composition of steps
+    rng = np.random.default_rng(47)
+    params = ModelParams(kappa=0.8, r=0.6, mu=1.2)
+    tg = TimeGrid(T=0.2, nt=4)
+    region = RegionMask.rectangle(GRID, 0.25, 0.25, 0.75, 0.75)
+    f = ControlField(tg, region, rng.uniform(-0.5, 0.5, size=(tg.nt, region.count)))
+    u0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
+    v0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
+    state = solve_forward(u0, v0, f, params, tg, scheme="upwind")
+
+    u, v = u0.values, v0.values
+    for n in range(tg.nt):
+        (u, v), (sweeps, int_u_bar, int_u_bar_u_new, residual) = picard_step(
+            GRID, u, v, f.array_at(n), params, tg.tau, scheme="upwind",
+        )
+        np.testing.assert_array_equal(state.u[n + 1], u)
+        np.testing.assert_array_equal(state.v[n + 1], v)
+        assert state.picard_iters[n] == sweeps
+        assert state.int_u_bar[n] == int_u_bar
+        assert state.int_u_bar_u_new[n] == int_u_bar_u_new
+        assert state.mass_identity_residual[n] == residual
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +255,7 @@ def test_forward_mass_constant_without_reaction(scheme):
     state = solve_forward(u0, v0, _zero_control(tg), params, tg,
                           settings=PicardSettings(tol=1e-12, max_iters=100),
                           scheme=scheme, cg_tol=1e-12)
-    m0 = integrate(u0)
+    m0 = float(u0.values.sum()) * GRID.cell_area
     masses = state.u.sum(axis=(1, 2)) * GRID.cell_area
     np.testing.assert_allclose(masses, m0, rtol=1e-10)
 

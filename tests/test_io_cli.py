@@ -330,7 +330,11 @@ SHRINKING = ["--set", "grid.nx=6", "--set", "grid.ny=6", "--set", "time.nt=2",
     ("simulate", ["time.T=inf"], "time.T"),
     ("optimize", ["optimizer.armijo_shrink=0"], "optimizer.armijo_shrink"),
     ("optimize", ["optimizer.armijo_shrink=nan"], "optimizer.armijo_shrink"),
-], ids=["u0-inf", "control-nan", "v0-nan-snapshot", "T-inf", "shrink-zero", "shrink-nan"])
+    ("simulate", ["model.kappa=inf"], "model.kappa"),
+    ("simulate", ["model.r=nan"], "model.r"),
+    ("optimize", ["cost.gamma_v=nan"], "cost.gamma_v"),
+], ids=["u0-inf", "control-nan", "v0-nan-snapshot", "T-inf", "shrink-zero", "shrink-nan",
+        "kappa-inf", "r-nan", "gamma-v-nan"])
 def test_cli_bad_value_exits_one_naming_the_key(base_cfg, tmp_path, capsys,
                                                 command, overrides, key):
     nan_ksf = tmp_path / "nan.ksf"

@@ -64,6 +64,15 @@ def test_cg_raises_on_iteration_cap():
     assert "residual" in str(exc.value)
 
 
+@pytest.mark.parametrize("x0", [None, np.ones(4)], ids=["cold", "warm"])
+def test_cg_rejects_non_finite_rhs(x0):
+    # an infinite right-hand side makes the residual target infinite, so
+    # without the check the start would pass for converged
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(LinearSolverError, match="not finite"):
+        solve_cg(lambda v: a @ v, np.array([1.0, np.inf, 0.0, 0.0]), np.diag(a), x0=x0)
+
+
 def _dense_neumann_laplacian(n, h):
     """1-d cell-centred second difference with mirrored (zero-flux) ends."""
     d = (np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)

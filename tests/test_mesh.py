@@ -13,23 +13,36 @@ from kscontrol.mesh import (
     Field2D,
     GridSpec,
     RegionMask,
-    chemotaxis_divergence,
-    chemotaxis_divergence_adjoint,
-    chemotaxis_divergence_arrays,
     chemotaxis_adjoint_arrays,
+    chemotaxis_divergence_arrays,
     check_same_grid,
     constant_field,
     field_from_function,
-    inner,
-    integrate,
-    laplacian_neumann,
-    norms,
+    h1_seminorm_array,
+    laplacian_array,
+    l2_norm_array,
     weighted_diffusion_arrays,
 )
 
 
 def _random_field(grid, rng, lo=-1.0, hi=1.0):
-    return Field2D(grid, rng.uniform(lo, hi, size=(grid.nx, grid.ny)))
+    return rng.uniform(lo, hi, size=(grid.nx, grid.ny))
+
+
+def _lap(g, f):
+    return laplacian_array(f, g.hx, g.hy)
+
+
+def _div(g, u, v, scheme):
+    return chemotaxis_divergence_arrays(u, v, g.hx, g.hy, scheme)
+
+
+def _integrate(g, f):
+    return float(f.sum()) * g.cell_area
+
+
+def _inner(g, f, w):
+    return float(np.sum(f * w)) * g.cell_area
 
 
 # ----------------------------------------------------------------------
@@ -89,15 +102,15 @@ def test_region_mask_counts_cells_in_closed_box():
 
 def test_laplacian_of_constant_vanishes():
     g = GridSpec(Lx=1.0, Ly=2.0, nx=16, ny=12)
-    lap = laplacian_neumann(constant_field(g, 3.7))
-    np.testing.assert_array_equal(lap.values, np.zeros((16, 12)))
+    lap = _lap(g, constant_field(g, 3.7).values)
+    np.testing.assert_array_equal(lap, np.zeros((16, 12)))
 
 
 def test_laplacian_conserves_mass():
     rng = np.random.default_rng(11)
     g = GridSpec(Lx=1.5, Ly=1.0, nx=13, ny=9)
     f = _random_field(g, rng)
-    assert abs(integrate(laplacian_neumann(f))) < 1e-13
+    assert abs(_integrate(g, _lap(g, f))) < 1e-13
 
 
 def test_laplacian_is_self_adjoint():
@@ -105,8 +118,8 @@ def test_laplacian_is_self_adjoint():
     g = GridSpec(Lx=1.0, Ly=1.0, nx=10, ny=14)
     f = _random_field(g, rng)
     w = _random_field(g, rng)
-    lhs = inner(laplacian_neumann(f), w)
-    rhs = inner(f, laplacian_neumann(w))
+    lhs = _inner(g, _lap(g, f), w)
+    rhs = _inner(g, f, _lap(g, w))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-14)
 
 
@@ -118,9 +131,9 @@ def test_laplacian_eigenmode_is_exact():
     """
     g = GridSpec(Lx=1.0, Ly=1.0, nx=24, ny=24)
     k = 3
-    f = field_from_function(g, lambda x, y: np.cos(k * np.pi * x))
+    f = field_from_function(g, lambda x, y: np.cos(k * np.pi * x)).values
     lam = -(4.0 / g.hx**2) * np.sin(k * np.pi * g.hx / 2.0) ** 2
-    np.testing.assert_allclose(laplacian_neumann(f).values, lam * f.values,
+    np.testing.assert_allclose(_lap(g, f), lam * f,
                                rtol=1e-11, atol=1e-11)
 
 
@@ -133,7 +146,7 @@ def test_laplacian_second_order_on_cosine_mode():
         exact = field_from_function(
             g, lambda x, y: -2.0 * np.pi**2 * np.cos(np.pi * x) * np.cos(np.pi * y)
         )
-        err = norms(Field2D(g, laplacian_neumann(f).values - exact.values)).linf
+        err = np.max(np.abs(_lap(g, f.values) - exact.values))
         errs.append(err)
     ratio = errs[0] / errs[1]
     assert 3.5 < ratio < 4.5
@@ -149,8 +162,8 @@ def test_chemo_divergence_conserves_mass(scheme):
     g = GridSpec(Lx=1.0, Ly=1.0, nx=11, ny=7)
     u = _random_field(g, rng, 0.0, 2.0)
     v = _random_field(g, rng)
-    div = chemotaxis_divergence(u, v, scheme=scheme)
-    assert abs(integrate(div)) < 1e-13
+    div = _div(g, u, v, scheme)
+    assert abs(_integrate(g, div)) < 1e-13
 
 
 def test_chemo_divergence_with_constant_density_is_scaled_laplacian():
@@ -160,8 +173,8 @@ def test_chemo_divergence_with_constant_density_is_scaled_laplacian():
     g = GridSpec(Lx=1.0, Ly=1.0, nx=9, ny=9)
     v = _random_field(g, rng)
     c = 1.75
-    div = chemotaxis_divergence(constant_field(g, c), v, scheme="central")
-    np.testing.assert_allclose(div.values, c * laplacian_neumann(v).values,
+    div = _div(g, constant_field(g, c).values, v, "central")
+    np.testing.assert_allclose(div, c * _lap(g, v),
                                rtol=1e-13, atol=1e-13)
 
 
@@ -170,8 +183,8 @@ def test_chemo_divergence_of_constant_v_is_zero():
     g = GridSpec(Lx=1.0, Ly=1.0, nx=9, ny=9)
     u = _random_field(g, rng, 0.0, 1.0)
     for scheme in ("central", "upwind"):
-        div = chemotaxis_divergence(u, constant_field(g, 0.8), scheme=scheme)
-        np.testing.assert_array_equal(div.values, np.zeros((9, 9)))
+        div = _div(g, u, constant_field(g, 0.8).values, scheme)
+        np.testing.assert_array_equal(div, np.zeros((9, 9)))
 
 
 @pytest.mark.parametrize("scheme", ["central", "upwind"])
@@ -187,8 +200,8 @@ def test_chemo_transpose_identity(scheme):
         u = _random_field(g, rng, -1.0, 2.0)
         v = _random_field(g, rng)
         w = _random_field(g, rng)
-        lhs = inner(chemotaxis_divergence(u, v, scheme=scheme), w)
-        rhs = inner(u, chemotaxis_divergence_adjoint(w, v, scheme=scheme))
+        lhs = _inner(g, _div(g, u, v, scheme), w)
+        rhs = _inner(g, u, chemotaxis_adjoint_arrays(w, v, g.hx, g.hy, scheme))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
 
@@ -227,10 +240,10 @@ def test_chemo_central_is_second_order():
     errs = []
     for nx in (16, 32, 64):
         g = GridSpec(Lx=1.0, Ly=1.0, nx=nx, ny=nx)
-        u = field_from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
-        div = chemotaxis_divergence(u, u, scheme="central")
-        ref = field_from_function(g, exact)
-        errs.append(norms(Field2D(g, div.values - ref.values)).l2)
+        u = field_from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)).values
+        div = _div(g, u, u, "central")
+        ref = field_from_function(g, exact).values
+        errs.append(l2_norm_array(div - ref, g.cell_area))
     order = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
     assert 1.8 < order < 2.2
@@ -247,10 +260,10 @@ def test_chemo_upwind_is_first_order():
     errs = []
     for nx in (32, 64):
         g = GridSpec(Lx=1.0, Ly=1.0, nx=nx, ny=nx)
-        u = field_from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
-        div = chemotaxis_divergence(u, u, scheme="upwind")
-        ref = field_from_function(g, exact)
-        errs.append(norms(Field2D(g, div.values - ref.values)).l2)
+        u = field_from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)).values
+        div = _div(g, u, u, "upwind")
+        ref = field_from_function(g, exact).values
+        errs.append(l2_norm_array(div - ref, g.cell_area))
     order = np.log2(errs[0] / errs[1])
     assert 0.7 < order < 1.3
 
@@ -283,42 +296,11 @@ def test_weighted_diffusion_is_symmetric():
 
 
 # ----------------------------------------------------------------------
-# quadrature and norms
-
-
-def test_integrate_constant_is_area_times_value():
-    g = GridSpec(Lx=2.0, Ly=3.0, nx=16, ny=8)
-    np.testing.assert_allclose(integrate(constant_field(g, 2.5)), 15.0)
-
-
-def test_integrate_is_linear():
-    rng = np.random.default_rng(31)
-    g = GridSpec(Lx=1.0, Ly=1.0, nx=7, ny=5)
-    f = _random_field(g, rng)
-    w = _random_field(g, rng)
-    combo = Field2D(g, 2.0 * f.values - 0.5 * w.values)
-    np.testing.assert_allclose(
-        integrate(combo), 2.0 * integrate(f) - 0.5 * integrate(w), rtol=1e-13
-    )
+# norms
 
 
 def test_norms_of_constant():
     g = GridSpec(Lx=2.0, Ly=0.5, nx=10, ny=10)
-    n = norms(constant_field(g, -3.0))
-    np.testing.assert_allclose(n.l2, 3.0)  # sqrt(9 * |domain|), |domain| = 1
-    np.testing.assert_allclose(n.linf, 3.0)
-    assert n.h1_seminorm == 0.0
-
-
-def test_lp_norm_at_p_two_matches_l2():
-    rng = np.random.default_rng(32)
-    g = GridSpec(Lx=1.0, Ly=1.0, nx=12, ny=12)
-    f = _random_field(g, rng)
-    n = norms(f, p=2.0)
-    np.testing.assert_allclose(n.lp, n.l2, rtol=1e-13)
-
-
-def test_norms_reject_degenerate_exponent():
-    g = GridSpec(Lx=1.0, Ly=1.0, nx=4, ny=4)
-    with pytest.raises(ValueError):
-        norms(constant_field(g, 1.0), p=1.0)
+    vals = constant_field(g, -3.0).values
+    np.testing.assert_allclose(l2_norm_array(vals, g.cell_area), 3.0)  # |domain| = 1
+    assert h1_seminorm_array(vals, g.hx, g.hy, g.cell_area) == 0.0
