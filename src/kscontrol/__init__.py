@@ -15,7 +15,6 @@ from .control import (
     AdmissibleSet,
     ControlField,
     CostWeights,
-    GradientField,
     TrackingTargets,
     control_cost,
     project,
@@ -62,6 +61,7 @@ from .optimize import (
     OptimizeReport,
     cost_of_control,
     evaluate_cost,
+    gradient_of_control,
     kkt_report,
     solve,
 )
@@ -95,7 +95,6 @@ __all__ = [
     "CostWeights",
     "DEFAULT_CG_TOL",
     "Field2D",
-    "GradientField",
     "GridMismatchError",
     "GridSpec",
     "InvariantReport",
@@ -124,6 +123,7 @@ __all__ = [
     "evaluate_cost",
     "fd_gradient",
     "field_from_function",
+    "gradient_of_control",
     "heat_mode_decay_rate",
     "kkt_report",
     "logistic_closed_form",

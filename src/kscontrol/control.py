@@ -14,7 +14,7 @@ The regularization exponent ``p`` lives in (2, 3); its integrand derivative
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Optional
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -62,30 +62,12 @@ class ControlField:
         full[self.region.inside] = self.values[level]
         return full
 
-    def copy(self) -> "ControlField":
-        return ControlField(self.time_grid, self.region, self.values.copy())
-
-    def layout_matches(self, other: "ControlField | GradientField") -> bool:
+    def layout_matches(self, other: "ControlField") -> bool:
         return (
             self.time_grid == other.time_grid
             and self.region.grid == other.region.grid
             and np.array_equal(self.region.inside, other.region.inside)
         )
-
-
-@dataclass
-class GradientField:
-    """Reduced gradient, laid out exactly like the control it differentiates."""
-
-    time_grid: "TimeGrid"
-    region: RegionMask
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expected = (self.time_grid.nt, self.region.count)
-        if self.values.shape != expected:
-            raise ValueError(f"gradient values shape {self.values.shape}, expected {expected}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +85,8 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """Pointwise constraint set: unconstrained, or a box ``[f_min, f_max]``."""
+    """Pointwise constraint set ``[f_min, f_max]``: a finite box, or
+    unconstrained with the infinite default bounds."""
 
     kind: Literal["unconstrained", "box"] = "unconstrained"
     f_min: float = -np.inf
@@ -117,6 +100,8 @@ class AdmissibleSet:
                 raise ValueError("box bounds must be finite")
             if not self.f_min <= self.f_max:
                 raise ValueError("box requires f_min <= f_max")
+        elif self.f_min != -np.inf or self.f_max != np.inf:
+            raise ValueError("an unconstrained set takes no bounds")
 
     @property
     def bounded(self) -> bool:
@@ -152,9 +137,8 @@ class TrackingTargets:
 
 
 def project(f: ControlField, admissible: AdmissibleSet) -> ControlField:
-    """Pointwise projection onto the admissible set (identity if unconstrained)."""
-    if admissible.kind == "unconstrained":
-        return f.copy()
+    """Pointwise projection onto the admissible set, as a new control
+    (unconstrained, the infinite bounds keep every value bit for bit)."""
     clipped = np.clip(f.values, admissible.f_min, admissible.f_max)
     return ControlField(f.time_grid, f.region, clipped)
 
@@ -184,8 +168,8 @@ def reduced_gradient(
     adjoint: "AdjointTrajectory",
     gamma_f: float,
     p: float,
-) -> GradientField:
-    """Gradient of the reduced cost with respect to the control.
+) -> ControlField:
+    """Gradient of the reduced cost, laid out like the control it differentiates.
 
     Per level ``n`` and masked cell: ``gamma_f * sgn(f) |f|^(p-1) +
     v^{n+1}_+ eta^n``.  The step ``n -> n+1`` multiplies ``f^n`` by the
@@ -199,12 +183,12 @@ def reduced_gradient(
     if gamma_f != 0.0:
         fv = f.values
         vals = vals + gamma_f * np.sign(fv) * np.abs(fv) ** (p - 1.0)
-    return GradientField(f.time_grid, f.region, vals)
+    return ControlField(f.time_grid, f.region, vals)
 
 
 def vi_residual(
     f: ControlField,
-    d: GradientField,
+    d: ControlField,
     admissible: AdmissibleSet,
     step: float = 1.0,
 ) -> float:
@@ -217,7 +201,5 @@ def vi_residual(
         raise ValueError("step must be positive")
     if not f.layout_matches(d):
         raise GridMismatchError("control and gradient layouts differ")
-    trial = f.values - step * d.values
-    if admissible.kind == "box":
-        trial = np.clip(trial, admissible.f_min, admissible.f_max)
+    trial = np.clip(f.values - step * d.values, admissible.f_min, admissible.f_max)
     return qc_norm(f.values - trial, f)

@@ -46,7 +46,6 @@ from .control import (
     CostWeights,
     TrackingTargets,
     project,
-    reduced_gradient,
 )
 from .errors import (
     ConfigError,
@@ -68,6 +67,7 @@ from .optimize import (
     ControlProblem,
     OptimizeOptions,
     cost_of_control,
+    gradient_of_control,
     solve,
 )
 
@@ -317,6 +317,13 @@ def _finite(cfg: dict, key: str, what: str) -> float:
     return value
 
 
+def _at_least(cfg: dict, key: str, low: int) -> int:
+    value = int(cfg[key])
+    if value < low:
+        raise ConfigError(key, f"must be at least {low}, got {value}")
+    return value
+
+
 def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
     """Validate a configuration and build every solver object it describes.
 
@@ -325,17 +332,14 @@ def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
     """
     Lx = _positive(cfg, "domain.Lx", "domain length")
     Ly = _positive(cfg, "domain.Ly", "domain length")
-    nx, ny = int(cfg["grid.nx"]), int(cfg["grid.ny"])
-    if nx < 2:
-        raise ConfigError("grid.nx", "need at least two cells per direction")
-    if ny < 2:
-        raise ConfigError("grid.ny", "need at least two cells per direction")
+    nx, ny = _at_least(cfg, "grid.nx", 2), _at_least(cfg, "grid.ny", 2)
+    for key, n in (("grid.nx", nx), ("grid.ny", ny)):
+        if n >= 2**32:  # the KSF1 header stores the grid size as u32
+            raise ConfigError(key, f"{n} cells exceed the snapshot limit of 2**32 - 1")
     grid = GridSpec(Lx, Ly, nx, ny)
 
     T = _positive(cfg, "time.T", "final time")
-    nt = int(cfg["time.nt"])
-    if nt < 1:
-        raise ConfigError("time.nt", "need at least one time step")
+    nt = _at_least(cfg, "time.nt", 1)
     time_grid = TimeGrid(T=T, nt=nt)
 
     mu = _positive(cfg, "model.mu", "the logistic damping coefficient")
@@ -357,7 +361,7 @@ def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
 
     picard = PicardSettings(
         tol=_positive(cfg, "forward.picard_tol", "fixed-point tolerance"),
-        max_iters=max(int(cfg["forward.picard_max_iters"]), 1),
+        max_iters=_at_least(cfg, "forward.picard_max_iters", 1),
     )
     cg_tol = _positive(cfg, "forward.cg_tol", "linear solver tolerance")
 
@@ -443,13 +447,13 @@ def build_problem(cfg: dict[str, object]) -> tuple[ControlProblem, OptimizeOptio
         raise ConfigError("optimizer.armijo_shrink", "the backtracking factor must lie "
                           "strictly between 0 and 1")
     opts = OptimizeOptions(
-        max_iters=max(int(cfg["optimizer.max_iters"]), 0),
+        max_iters=_at_least(cfg, "optimizer.max_iters", 0),
         vi_tol=_positive(cfg, "optimizer.vi_tol", "stationarity tolerance"),
         armijo=ArmijoSettings(
             c1=_positive(cfg, "optimizer.armijo_c1", "sufficient-decrease constant"),
             shrink=shrink,
             s0=_positive(cfg, "optimizer.armijo_s0", "initial step"),
-            max_backtracks=max(int(cfg["optimizer.armijo_max_backtracks"]), 0),
+            max_backtracks=_at_least(cfg, "optimizer.armijo_max_backtracks", 0),
         ),
     )
     return problem, opts
@@ -595,14 +599,10 @@ def _cmd_adjoint(args) -> int:
 
 
 def _optimize_csv(report) -> str:
-    lines = ["iter,j_total,j_u,j_v,j_f,vi_residual,step,backtracks"]
-    for rec in report.iterates:
-        lines.append(
-            f"{rec.iteration},{rec.cost.j_total!r},{rec.cost.j_u!r},"
-            f"{rec.cost.j_v!r},{rec.cost.j_f!r},{rec.vi_residual!r},"
-            f"{rec.step_size!r},{rec.backtracks}"
-        )
-    return "\n".join(lines) + "\n"
+    return verify.csv_table("iter,j_total,j_u,j_v,j_f,vi_residual,step,backtracks", (
+        (rec.iteration, rec.cost.j_total, rec.cost.j_u, rec.cost.j_v, rec.cost.j_f,
+         rec.vi_residual, rec.step_size, rec.backtracks)
+        for rec in report.iterates))
 
 
 def _cmd_optimize(args) -> int:
@@ -659,11 +659,7 @@ def _cmd_grad_check(args) -> int:
 
     f = problem.initial_control()
     state, _cost = cost_of_control(problem, f)
-    adj = solve_adjoint(state, f, problem.targets, problem.params,
-                        problem.weights, problem.scheme, problem.cg_tol,
-                        settings=problem.picard)
-    d = reduced_gradient(f, state, adj, problem.weights.gamma_f,
-                         problem.params.p_exponent)
+    d = gradient_of_control(problem, f, state)
 
     rng = np.random.default_rng(args.seed)
     directions = [
@@ -676,19 +672,20 @@ def _cmd_grad_check(args) -> int:
     )
     fd = verify.fd_gradient(problem, f, directions, eps=args.eps)
 
-    lines = ["direction,analytic,finite_difference,rel_error"]
+    rows = []
     worst = 0.0
     for k in range(args.directions):
         denom = max(abs(fd[k]), 1e-14)
         rel = float(abs(analytic[k] - fd[k]) / denom)
         worst = max(worst, rel)
-        lines.append(f"{k},{float(analytic[k])!r},{float(fd[k])!r},{rel!r}")
+        rows.append((k, analytic[k], fd[k], rel))
         print(
             f"direction {k}: analytic={analytic[k]:.10e} fd={fd[k]:.10e} "
             f"rel_error={rel:.3e}"
         )
     out = _out_dir(args, cfg)
-    (out / "grad_check.csv").write_text("\n".join(lines) + "\n")
+    (out / "grad_check.csv").write_text(
+        verify.csv_table("direction,analytic,finite_difference,rel_error", rows))
     print(f"worst relative error {worst:.3e} (tolerance {args.tol:.3e})")
     if worst > args.tol:
         print("verification failed: gradient mismatch", file=sys.stderr)

@@ -156,9 +156,21 @@ def laplacian_diag(grid: GridSpec) -> np.ndarray:
 
 
 def _face_gradients(v: np.ndarray, hx: float, hy: float):
-    gx = (v[1:, :] - v[:-1, :]) / hx
-    gy = (v[:, 1:] - v[:, :-1]) / hy
+    """Interior face differences over the two trailing axes."""
+    gx = (v[..., 1:, :] - v[..., :-1, :]) / hx
+    gy = (v[..., 1:] - v[..., :-1]) / hy
     return gx, gy
+
+
+def _divergence(fx: np.ndarray, fy: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """Divergence of interior face fluxes; boundary faces carry zero flux."""
+    out = np.zeros((fx.shape[0] + 1, fx.shape[1]))
+    dx, dy = fx / hx, fy / hy
+    out[:-1, :] += dx
+    out[1:, :] -= dx
+    out[:, :-1] += dy
+    out[:, 1:] -= dy
+    return out
 
 
 def _face_weights(gx: np.ndarray, gy: np.ndarray, scheme: Scheme):
@@ -192,13 +204,7 @@ def chemotaxis_divergence_arrays(
 
     fx = (wx * u[:-1, :] + (1.0 - wx) * u[1:, :]) * gx
     fy = (wy * u[:, :-1] + (1.0 - wy) * u[:, 1:]) * gy
-
-    out = np.zeros_like(u)
-    out[:-1, :] += fx / hx
-    out[1:, :] -= fx / hx
-    out[:, :-1] += fy / hy
-    out[:, 1:] -= fy / hy
-    return out
+    return _divergence(fx, fy, hx, hy)
 
 
 def chemotaxis_adjoint_arrays(
@@ -242,13 +248,7 @@ def weighted_diffusion_arrays(
 
     fx = cx * (phi[1:, :] - phi[:-1, :]) / hx
     fy = cy * (phi[:, 1:] - phi[:, :-1]) / hy
-
-    out = np.zeros_like(phi)
-    out[:-1, :] += fx / hx
-    out[1:, :] -= fx / hx
-    out[:, :-1] += fy / hy
-    out[:, 1:] -= fy / hy
-    return out
+    return _divergence(fx, fy, hx, hy)
 
 
 def l2_norm_array(vals: np.ndarray, cell_area: float) -> float:
@@ -258,7 +258,6 @@ def l2_norm_array(vals: np.ndarray, cell_area: float) -> float:
 def h1_seminorm_array(vals: np.ndarray, hx: float, hy: float, cell_area: float):
     """H1 seminorm from face differences over the two trailing axes, so one
     call serves a single field or a ``(levels, nx, ny)`` stack."""
-    gx = (vals[..., 1:, :] - vals[..., :-1, :]) / hx
-    gy = (vals[..., 1:] - vals[..., :-1]) / hy
+    gx, gy = _face_gradients(vals, hx, hy)
     axes = (-2, -1)
     return np.sqrt((np.sum(gx * gx, axis=axes) + np.sum(gy * gy, axis=axes)) * cell_area)

@@ -19,7 +19,7 @@ starting controls may reach distinct local minima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -159,6 +159,16 @@ def cost_of_control(problem: ControlProblem, f: ControlField) -> tuple[StateTraj
                                 problem.params.p_exponent)
 
 
+def gradient_of_control(problem: ControlProblem, f: ControlField,
+                        state: StateTrajectory) -> ControlField:
+    """Reduced gradient at ``f`` from its forward ``state``: one dual sweep
+    with the problem's scheme, CG tolerance and Picard settings."""
+    adj = solve_adjoint(state, f, problem.targets, problem.params, problem.weights,
+                        problem.scheme, problem.cg_tol, settings=problem.picard)
+    return reduced_gradient(f, state, adj, problem.weights.gamma_f,
+                            problem.params.p_exponent)
+
+
 @dataclass
 class KKTReport:
     """First-order optimality residuals at a control.
@@ -188,16 +198,11 @@ def kkt_report(
     d = reduced_gradient(f, state, adjoint, weights.gamma_f, p)
     res = vi_residual(f, d, admissible, step=1.0)
     dv = d.values
-    if admissible.kind == "box":
-        lo_frac = float((f.values <= admissible.f_min).mean())
-        hi_frac = float((f.values >= admissible.f_max).mean())
-    else:
-        lo_frac = hi_frac = 0.0
     return KKTReport(
         vi_residual=res,
         max_pointwise_violation=float(np.abs(dv).max()) if dv.size else 0.0,
-        active_lower_fraction=lo_frac,
-        active_upper_fraction=hi_frac,
+        active_lower_fraction=float((f.values <= admissible.f_min).mean()),
+        active_upper_fraction=float((f.values >= admissible.f_max).mean()),
     )
 
 
@@ -226,11 +231,7 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     reason = "max_iters"
 
     for iteration in range(opts.max_iters + 1):
-        adj = solve_adjoint(state, f, problem.targets, problem.params,
-                            problem.weights, problem.scheme, problem.cg_tol,
-                            settings=problem.picard)
-        d = reduced_gradient(f, state, adj, problem.weights.gamma_f,
-                             problem.params.p_exponent)
+        d = gradient_of_control(problem, f, state)
         res = vi_residual(f, d, problem.admissible, step=1.0)
         records.append(IterateRecord(iteration, cost, res, step_taken, backtracks_taken))
         if res <= opts.vi_tol:
@@ -244,10 +245,8 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
         s = arm.s0
         accepted = False
         for backtrack in range(arm.max_backtracks + 1):
-            trial_vals = f.values - s * d.values
-            if problem.admissible.kind == "box":
-                trial_vals = np.clip(trial_vals, problem.admissible.f_min,
-                                     problem.admissible.f_max)
+            trial_vals = np.clip(f.values - s * d.values, problem.admissible.f_min,
+                                 problem.admissible.f_max)
             f_trial = ControlField(f.time_grid, f.region, trial_vals)
             try:
                 check_eta_shift(trial_vals, problem.time_grid.tau)

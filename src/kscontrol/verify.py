@@ -23,7 +23,6 @@ Three kinds of evidence are produced here.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
@@ -44,6 +43,17 @@ from .forward import (
 from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, GridSpec, RegionMask, Scheme, field_from_function
 from .optimize import ControlProblem, cost_of_control
+
+
+def csv_table(header: str, rows) -> str:
+    """CSV text of ``rows`` under ``header``: integers as they are, every
+    other value as ``repr(float(x))``, which reads back to the same float."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(x) if isinstance(x, int) else repr(float(x))
+                              for x in row))
+    return "\n".join(lines) + "\n"
+
 
 # ---------------------------------------------------------------------------
 # invariant monitoring
@@ -84,17 +94,11 @@ class InvariantReport:
     )
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(self.CSV_HEADER + "\n")
-        for k in range(len(self.times)):
-            out.write(
-                f"{k},{float(self.times[k])!r},{float(self.min_u[k])!r},"
-                f"{float(self.min_v[k])!r},{float(self.mass_u[k])!r},"
-                f"{float(self.mass_bound_rhs)!r},"
-                f"{float(self.mass_identity_residual[k])!r},"
-                f"{float(self.l2_u[k])!r},{float(self.h1_v_proxy[k])!r}\n"
-            )
-        return out.getvalue()
+        return csv_table(self.CSV_HEADER, (
+            (k, self.times[k], self.min_u[k], self.min_v[k], self.mass_u[k],
+             self.mass_bound_rhs, self.mass_identity_residual[k], self.l2_u[k],
+             self.h1_v_proxy[k])
+            for k in range(len(self.times))))
 
 
 def monitor_invariants(
@@ -104,14 +108,14 @@ def monitor_invariants(
 ) -> InvariantReport:
     """Recompute every monitored quantity from a stored trajectory.
 
-    Pure function of the trajectory and the model constants; the mass
-    identity uses the per-step integrals the solver recorded with the
-    exact coefficients of each accepted linear solve.  A trajectory without
-    them gets the residual recomputed from its levels, with ``u^{n+1}_+``
-    standing in for the positive part of the last Picard iterate; that
-    residual is exact only at Picard convergence.
+    Pure function of the trajectory and the model constants.  The mass
+    identity residual is the one `solve_forward` recorded per step, with the
+    exact coefficients of each accepted linear solve; a trajectory that
+    carries none (one built from bare levels) raises `ValueError`.
     """
-    nt = state.time_grid.nt
+    if len(state.mass_identity_residual) != state.time_grid.nt:
+        raise ValueError("the trajectory records no mass identity residual; "
+                         "march it with solve_forward")
     tau = state.time_grid.tau
     grid = state.grid
     area = grid.cell_area
@@ -128,16 +132,7 @@ def monitor_invariants(
     bound_core = max(mass_u[0], params.r * area_total / params.mu)
     mass_bound_rhs = bound_core * (1.0 + 10.0 * tau)
 
-    residual = np.zeros(nt + 1)
-    if len(state.mass_identity_residual) == nt:
-        residual[1:] = state.mass_identity_residual
-    else:  # trajectory without recorded diagnostics: recompute from levels
-        upos = np.maximum(u[1:], 0.0)
-        residual[1:] = (
-            (mass_u[1:] - mass_u[:-1]) / tau
-            - params.r * (upos.sum(axis=(1, 2)) * area)
-            + params.mu * (np.sum(upos * u[1:], axis=(1, 2)) * area)
-        )
+    residual = np.concatenate(([0.0], state.mass_identity_residual))
 
     floor = -tolerances.nonneg_tol
     nonneg_ok = bool(min_u.min() >= floor and min_v.min() >= floor)
@@ -409,15 +404,10 @@ class ConvergenceTable:
     CSV_HEADER = "level,h,tau,error_u,error_v,observed_order_u,observed_order_v"
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(self.CSV_HEADER + "\n")
-        for k, row in enumerate(self.rows):
-            out.write(
-                f"{k},{float(row.h)!r},{float(row.tau)!r},{float(row.error_u)!r},"
-                f"{float(row.error_v)!r},{float(row.observed_order_u)!r},"
-                f"{float(row.observed_order_v)!r}\n"
-            )
-        return out.getvalue()
+        return csv_table(self.CSV_HEADER, (
+            (k, row.h, row.tau, row.error_u, row.error_v, row.observed_order_u,
+             row.observed_order_v)
+            for k, row in enumerate(self.rows)))
 
     def final_orders(self) -> tuple[float, float]:
         return self.rows[-1].observed_order_u, self.rows[-1].observed_order_v

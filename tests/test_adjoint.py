@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from kscontrol.adjoint import (
-    AdjointTrajectory,
     solve_adjoint,
     solve_linearized_dual,
     step_adjoint,

@@ -9,7 +9,6 @@ from kscontrol.control import (
     AdmissibleSet,
     ControlField,
     CostWeights,
-    GradientField,
     TrackingTargets,
     control_cost,
     project,
@@ -20,7 +19,7 @@ from kscontrol.control import (
 )
 from kscontrol.errors import GridMismatchError
 from kscontrol.forward import StateTrajectory, TimeGrid
-from kscontrol.mesh import Field2D, GridSpec, RegionMask, constant_field
+from kscontrol.mesh import GridSpec, RegionMask, constant_field
 
 GRID = GridSpec(Lx=1.0, Ly=1.0, nx=8, ny=8)
 TG = TimeGrid(T=1.0, nt=10)
@@ -64,7 +63,7 @@ def test_field_at_scatters_onto_region_only():
 
 def test_layout_matches():
     f = ControlField.zeros(TG, REGION)
-    g = GradientField(TG, REGION, np.ones((TG.nt, REGION.count)))
+    g = ControlField(TG, REGION, np.ones((TG.nt, REGION.count)))
     assert f.layout_matches(g)
     other = ControlField.zeros(TimeGrid(T=1.0, nt=5), REGION)
     assert not f.layout_matches(other)
@@ -188,6 +187,12 @@ def test_project_is_identity_inside_the_box():
     box = AdmissibleSet("box", -1.0, 1.0)
     f = _random_control(rng, -0.9, 0.9)
     np.testing.assert_array_equal(project(f, box).values, f.values)
+    # unconstrained: a new array, equal bit for bit (signed zero included)
+    g = _random_control(rng, -5.0, 5.0)
+    g.values[2, 1] = -0.0
+    free = project(g, AdmissibleSet())
+    assert not np.shares_memory(free.values, g.values)
+    assert free.values.tobytes() == g.values.tobytes()
 
 
 def test_project_clips_and_is_idempotent():
@@ -210,14 +215,14 @@ def test_project_is_non_expansive():
 
 def test_vi_residual_zero_gradient():
     f = ControlField.from_constant(TG, REGION, 0.3)
-    d = GradientField(TG, REGION, np.zeros((TG.nt, REGION.count)))
+    d = ControlField(TG, REGION, np.zeros((TG.nt, REGION.count)))
     assert vi_residual(f, d, AdmissibleSet(), step=1.0) == 0.0
 
 
 def test_vi_residual_unconstrained_is_step_times_gradient_norm():
     rng = np.random.default_rng(66)
     f = _random_control(rng)
-    d = GradientField(TG, REGION, rng.standard_normal(f.values.shape))
+    d = ControlField(TG, REGION, rng.standard_normal(f.values.shape))
     step = 0.7
     np.testing.assert_allclose(
         vi_residual(f, d, AdmissibleSet(), step=step),
@@ -231,16 +236,16 @@ def test_vi_residual_vanishes_on_saturated_bound():
     # lands back on the bound: a constrained stationary point
     box = AdmissibleSet("box", -1.0, 1.0)
     f = ControlField.from_constant(TG, REGION, 1.0)
-    d = GradientField(TG, REGION, -0.4 * np.ones((TG.nt, REGION.count)))
+    d = ControlField(TG, REGION, -0.4 * np.ones((TG.nt, REGION.count)))
     assert vi_residual(f, d, box, step=1.0) == 0.0
 
 
 def test_vi_residual_validation():
     f = ControlField.zeros(TG, REGION)
-    d = GradientField(TG, REGION, np.zeros((TG.nt, REGION.count)))
+    d = ControlField(TG, REGION, np.zeros((TG.nt, REGION.count)))
     with pytest.raises(ValueError, match="step"):
         vi_residual(f, d, AdmissibleSet(), step=0.0)
-    other = GradientField(TimeGrid(T=1.0, nt=5), REGION,
+    other = ControlField(TimeGrid(T=1.0, nt=5), REGION,
                           np.zeros((5, REGION.count)))
     with pytest.raises(GridMismatchError):
         vi_residual(f, other, AdmissibleSet())
@@ -257,6 +262,8 @@ def test_admissible_set_validation():
         AdmissibleSet("box", -np.inf, 1.0)
     with pytest.raises(ValueError, match="f_min"):
         AdmissibleSet("box", 2.0, 1.0)
+    with pytest.raises(ValueError, match="no bounds"):
+        AdmissibleSet("unconstrained", -1.0, 1.0)
 
 
 def test_cost_weights_validation():

@@ -333,8 +333,13 @@ SHRINKING = ["--set", "grid.nx=6", "--set", "grid.ny=6", "--set", "time.nt=2",
     ("simulate", ["model.kappa=inf"], "model.kappa"),
     ("simulate", ["model.r=nan"], "model.r"),
     ("optimize", ["cost.gamma_v=nan"], "cost.gamma_v"),
+    ("simulate", ["forward.picard_max_iters=0"], "forward.picard_max_iters"),
+    ("optimize", ["optimizer.max_iters=-3"], "optimizer.max_iters"),
+    ("optimize", ["optimizer.armijo_max_backtracks=-2"], "optimizer.armijo_max_backtracks"),
+    ("simulate", ["grid.nx=1000000000000"], "grid.nx"),
 ], ids=["u0-inf", "control-nan", "v0-nan-snapshot", "T-inf", "shrink-zero", "shrink-nan",
-        "kappa-inf", "r-nan", "gamma-v-nan"])
+        "kappa-inf", "r-nan", "gamma-v-nan", "picard-zero", "max-iters-negative",
+        "backtracks-negative", "nx-beyond-u32"])
 def test_cli_bad_value_exits_one_naming_the_key(base_cfg, tmp_path, capsys,
                                                 command, overrides, key):
     nan_ksf = tmp_path / "nan.ksf"

@@ -9,14 +9,13 @@ from kscontrol.control import (
     ControlField,
     CostWeights,
     TrackingTargets,
-    qc_norm,
+    reduced_gradient,
 )
 from kscontrol.forward import (
     ModelParams,
     PicardSettings,
     StateTrajectory,
     TimeGrid,
-    solve_forward,
 )
 from kscontrol.mesh import GridSpec, RegionMask, constant_field, field_from_function
 from kscontrol.optimize import (
@@ -25,6 +24,7 @@ from kscontrol.optimize import (
     OptimizeOptions,
     cost_of_control,
     evaluate_cost,
+    gradient_of_control,
     kkt_report,
     solve,
 )
@@ -216,6 +216,26 @@ def test_problem_requires_well_posed_setup():
 # optimality report
 
 
+def test_gradient_of_control_carries_the_problem_settings():
+    problem = _tracking_problem(nt=3, scheme="upwind")
+    problem.picard = PicardSettings(tol=1e-7, max_iters=7)
+    problem.cg_tol = 1e-6
+    f = ControlField.from_constant(problem.time_grid, problem.region, 0.3)
+    state, _ = cost_of_control(problem, f)
+    p, gamma_f = problem.params.p_exponent, problem.weights.gamma_f
+
+    def by_hand(*args, **kwargs):
+        adj = solve_adjoint(state, f, problem.targets, problem.params, problem.weights,
+                            *args, **kwargs)
+        return reduced_gradient(f, state, adj, gamma_f, p).values
+
+    d = gradient_of_control(problem, f, state)
+    assert isinstance(d, ControlField)
+    assert d.values.tobytes() == by_hand("upwind", 1e-6, settings=problem.picard).tobytes()
+    # the default scheme and tolerances give other bits, so these were used
+    assert not np.array_equal(d.values, by_hand())
+
+
 def test_kkt_report_all_zero_at_global_minimum():
     tg = TimeGrid(T=0.3, nt=4)
     region = RegionMask.everywhere(GRID)
@@ -265,3 +285,5 @@ def test_kkt_report_active_fractions():
     rep = kkt_report(f, state, adj, AdmissibleSet("box", -1.0, 1.0), weights, 2.1)
     np.testing.assert_allclose(
         rep.active_lower_fraction + rep.active_upper_fraction, 1.0)
+    free = kkt_report(f, state, adj, AdmissibleSet(), weights, 2.1)
+    assert free.active_lower_fraction == 0.0 and free.active_upper_fraction == 0.0

@@ -77,21 +77,14 @@ def test_monitor_zero_density_run():
     np.testing.assert_array_equal(rep.min_u, 0.0)
 
 
-def test_monitor_recomputes_residual_without_diagnostics():
-    # a trajectory stripped of its recorded per-step integrals still gets a
-    # residual, provided the stored levels are tight enough to recompute it
-    params = ModelParams(kappa=0.8, r=0.6, mu=1.2)
+def test_monitor_rejects_trajectory_without_recorded_residual():
+    # the mass identity residual comes only from the march that made the
+    # levels; bare levels carry none, and nothing is recomputed from them
     tg = TimeGrid(T=0.3, nt=10)
-    f = ControlField.from_constant(tg, RegionMask.everywhere(GRID), 0.2)
-    u0 = field_from_function(GRID, lambda x, y: 0.5 + 0.2 * np.cos(np.pi * x))
-    v0 = field_from_function(GRID, lambda x, y: 0.5 + 0.1 * np.cos(np.pi * y))
-    state = solve_forward(u0, v0, f, params, tg,
-                          settings=PicardSettings(tol=1e-13, max_iters=300),
-                          cg_tol=1e-13)
-    bare = StateTrajectory(time_grid=tg, grid=GRID, u=state.u, v=state.v)
-    rep = monitor_invariants(bare, params)
-    assert rep.mass_identity_ok
-    assert np.abs(rep.mass_identity_residual).max() < 1e-13
+    shape = (tg.nt + 1, GRID.nx, GRID.ny)
+    bare = StateTrajectory(tg, GRID, np.full(shape, 0.5), np.full(shape, 0.5))
+    with pytest.raises(ValueError, match="mass identity residual"):
+        monitor_invariants(bare, ModelParams(kappa=1.0, r=1.0, mu=2.0))
 
 
 def test_monitor_flags_central_scheme_undershoot():
