@@ -60,6 +60,7 @@ from .forward import (
     PicardSettings,
     StateTrajectory,
     TimeGrid,
+    check_control_layout,
     coupled_fixed_point,
 )
 from .linalg import DEFAULT_CG_TOL
@@ -191,11 +192,7 @@ def solve_adjoint(
         If a per-level fixed point fails to reach its tolerance.
     """
     grid = state.grid
-    if control.region.grid != grid:
-        raise mesh.GridMismatchError("control region grid differs from state grid")
-    if control.time_grid != state.time_grid:
-        raise ValueError("control time grid differs from state time grid")
-
+    check_control_layout(control, grid, state.time_grid)
     nt = state.time_grid.nt
     tau = state.time_grid.tau
     lam = np.zeros((nt + 1, grid.nx, grid.ny))
@@ -240,6 +237,7 @@ def solve_linearized_dual(
     duality pairing with `solve_adjoint` holds to solver tolerance.
     """
     grid = state.grid
+    check_control_layout(control, grid, state.time_grid)
     nt = state.time_grid.nt
     tau = state.time_grid.tau
     shape = (nt, grid.nx, grid.ny)

@@ -109,11 +109,12 @@ class AdmissibleSet:
 
 
 def require_well_posed(weights: CostWeights, admissible: AdmissibleSet) -> None:
-    """Existence hypothesis: without regularization the set must be bounded."""
+    """Existence hypothesis for a minimizer: without regularization the set
+    must be bounded.  The state and the dual need no such hypothesis."""
     if weights.gamma_f == 0.0 and not admissible.bounded:
         raise ValueError(
-            "gamma_f = 0 requires a bounded admissible set: use a box constraint "
-            "or a positive control-cost weight"
+            "gamma_f = 0 is well-posed only on a bounded admissible set: use a box "
+            "with finite f_min and f_max, or a positive gamma_f"
         )
 
 

@@ -28,9 +28,9 @@ exactly (conservative stencils), leaving the discrete mass identity
 
 The CG closure error in this identity is redistributed uniformly over the
 cells after each solve, so the recorded residual sits at round-off no
-matter the solver tolerance.  Per-step diagnostics (Picard counts, the
-integrals above, the residual) travel with the returned trajectory so any
-invariant report can be recomputed from it alone.
+matter the solver tolerance.  The trajectory carries it and the Picard
+sweep count per step.  Every march checks its control with
+`check_control_layout`.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ class StateTrajectory:
 
     ``u`` and ``v`` are float arrays of shape ``(nt + 1, nx, ny)`` on
     ``grid``; ``u[n]`` is level ``n``.  The diagnostic arrays have one entry
-    per step ``n -> n+1``; the two integrals are taken with the positive
-    part of the final Picard iterate, exactly as used in the accepted
-    linear solve.
+    per step ``n -> n+1``; the mass identity residual is taken with the
+    positive part of the final Picard iterate, exactly as used in the
+    accepted linear solve.
     """
 
     time_grid: TimeGrid
@@ -114,8 +114,6 @@ class StateTrajectory:
     u: np.ndarray
     v: np.ndarray
     picard_iters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    int_u_bar: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    int_u_bar_u_new: np.ndarray = field(default_factory=lambda: np.zeros(0))
     mass_identity_residual: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
@@ -256,13 +254,13 @@ def picard_step(
     params: ModelParams, tau: float, settings: PicardSettings = PicardSettings(),
     scheme: Scheme = "central", cg_tol: float = DEFAULT_CG_TOL,
     source_u: Optional[np.ndarray] = None, source_v: Optional[np.ndarray] = None,
-) -> tuple[Pair, tuple[int, float, float, float]]:
+) -> tuple[Pair, tuple[int, float]]:
     """Advance one step by fixed-point iteration on the decoupled solves.
 
     Starting from ``(u_prev, v_prev)``, each sweep solves ``v`` then ``u``
     with the other iterate's positive part frozen (`coupled_fixed_point`).
     Returns the new pair ``(u_new, v_new)`` and the step's diagnostics
-    ``(sweeps, int_u_bar, int_u_bar_u_new, mass_identity_residual)``.
+    ``(sweeps, mass_identity_residual)``.
 
     Raises
     ------
@@ -292,7 +290,15 @@ def picard_step(
         + params.mu * int_ubar_unew
         - int_src
     )
-    return (u_new, v_new), (sweeps, int_ubar, int_ubar_unew, residual)
+    return (u_new, v_new), (sweeps, residual)
+
+
+def check_control_layout(control: ControlField, grid: GridSpec, time_grid: TimeGrid) -> None:
+    """Raise unless ``control`` lives on ``grid`` and steps on ``time_grid``."""
+    if control.region.grid != grid:
+        raise mesh.GridMismatchError("control region grid differs from state grid")
+    if control.time_grid != time_grid:
+        raise ValueError("control time grid differs from solver time grid")
 
 
 def solve_forward(
@@ -328,10 +334,7 @@ def solve_forward(
         All ``nt + 1`` levels of both unknowns plus per-step diagnostics.
     """
     grid = mesh.check_same_grid(u0, v0)
-    if control.region.grid != grid:
-        raise mesh.GridMismatchError("control region grid differs from state grid")
-    if control.time_grid != time_grid:
-        raise ValueError("control time grid differs from solver time grid")
+    check_control_layout(control, grid, time_grid)
     if float(u0.values.min()) < 0.0:
         raise ValueError("initial cell density u0 must be nonnegative")
     if float(v0.values.min()) < 0.0:
@@ -345,18 +348,15 @@ def solve_forward(
     v = np.empty((nt + 1, grid.nx, grid.ny))
     u[0], v[0] = u0.values, v0.values
     picard_iters = np.zeros(nt, dtype=int)
-    int_u_bar = np.zeros(nt)
-    int_u_bar_u_new = np.zeros(nt)
     mass_residual = np.zeros(nt)
 
     for n in range(nt):
         src_u = source_u(times[n + 1]).values if source_u is not None else None
         src_v = source_v(times[n + 1]).values if source_v is not None else None
         try:
-            (u[n + 1], v[n + 1]), (
-                picard_iters[n], int_u_bar[n], int_u_bar_u_new[n], mass_residual[n]
-            ) = picard_step(grid, u[n], v[n], control.array_at(n), params, tau, settings,
-                            scheme, cg_tol, src_u, src_v)
+            (u[n + 1], v[n + 1]), (picard_iters[n], mass_residual[n]) = picard_step(
+                grid, u[n], v[n], control.array_at(n), params, tau, settings, scheme,
+                cg_tol, src_u, src_v)
         except PicardDivergenceError as err:
             err.time_index = n
             raise
@@ -367,7 +367,5 @@ def solve_forward(
         u=u,
         v=v,
         picard_iters=picard_iters,
-        int_u_bar=int_u_bar,
-        int_u_bar_u_new=int_u_bar_u_new,
         mass_identity_residual=mass_residual,
     )

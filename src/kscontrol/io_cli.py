@@ -45,7 +45,7 @@ from .control import (
     ControlField,
     CostWeights,
     TrackingTargets,
-    project,
+    require_well_posed,
 )
 from .errors import (
     ConfigError,
@@ -286,23 +286,6 @@ def evaluate_expression(key: str, text: str, grid: GridSpec) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class RunSetup:
-    grid: GridSpec
-    time_grid: TimeGrid
-    params: ModelParams
-    scheme: str
-    picard: PicardSettings
-    cg_tol: float
-    region: RegionMask
-    admissible: AdmissibleSet
-    weights: CostWeights
-    u0: Field2D
-    v0: Field2D
-    targets: TrackingTargets
-    f0: ControlField
-
-
 def _positive(cfg: dict, key: str, what: str) -> float:
     value = float(cfg[key])
     if not (value > 0 and np.isfinite(value)):
@@ -324,12 +307,10 @@ def _at_least(cfg: dict, key: str, low: int) -> int:
     return value
 
 
-def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
-    """Validate a configuration and build every solver object it describes.
-
-    ``need_cost`` enables the checks that only make sense when the cost
-    functional is actually used (optimization and gradient checks).
-    """
+def build_setup(cfg: dict[str, object]) -> ControlProblem:
+    """Validate a configuration and build the problem it describes, with
+    ``f0`` the configured control, unprojected (`build_problem` adds the
+    existence check, so ``gamma_f = 0`` on an unbounded set builds here)."""
     Lx = _positive(cfg, "domain.Lx", "domain length")
     Ly = _positive(cfg, "domain.Ly", "domain length")
     nx, ny = _at_least(cfg, "grid.nx", 2), _at_least(cfg, "grid.ny", 2)
@@ -379,32 +360,22 @@ def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
     if kind == "unconstrained":
         admissible = AdmissibleSet()
     elif kind == "box":
-        f_min, f_max = float(cfg["control.f_min"]), float(cfg["control.f_max"])
-        if not np.isfinite(f_min) or not np.isfinite(f_max):
-            raise ConfigError("control.f_min", "box bounds must be finite")
-        if not f_min <= f_max:
-            raise ConfigError("control.f_min", "box requires f_min <= f_max")
-        admissible = AdmissibleSet("box", f_min, f_max)
+        try:
+            admissible = AdmissibleSet("box", float(cfg["control.f_min"]),
+                                       float(cfg["control.f_max"]))
+        except ValueError as err:
+            raise ConfigError("control.f_min", str(err)) from None
     else:
         raise ConfigError(
             "control.kind", f"expected 'unconstrained' or 'box', got {kind!r}"
         )
 
-    gamma_u = _finite(cfg, "cost.gamma_u", "a cost weight")
-    gamma_v = _finite(cfg, "cost.gamma_v", "a cost weight")
-    gamma_f = _finite(cfg, "cost.gamma_f", "a cost weight")
-    for key, value in (("cost.gamma_u", gamma_u), ("cost.gamma_v", gamma_v),
-                       ("cost.gamma_f", gamma_f)):
+    gamma_keys = ("cost.gamma_u", "cost.gamma_v", "cost.gamma_f")
+    gammas = [_finite(cfg, key, "a cost weight") for key in gamma_keys]
+    for key, value in zip(gamma_keys, gammas):
         if value < 0:
             raise ConfigError(key, "cost weights must be nonnegative")
-    if need_cost and gamma_f == 0.0 and not admissible.bounded:
-        raise ConfigError(
-            "cost.gamma_f",
-            "a zero control-cost weight is well-posed only on a bounded admissible "
-            "set; set control.kind = box with finite control.f_min and "
-            "control.f_max",
-        )
-    weights = CostWeights(gamma_u=gamma_u, gamma_v=gamma_v, gamma_f=gamma_f)
+    weights = CostWeights(*gammas)
 
     u0 = evaluate_expression("init.u0", str(cfg["init.u0"]), grid)
     v0 = evaluate_expression("init.v0", str(cfg["init.v0"]), grid)
@@ -420,33 +391,25 @@ def build_setup(cfg: dict[str, object], need_cost: bool) -> RunSetup:
 
     f0_field = evaluate_expression("control.initial", str(cfg["control.initial"]), grid)
     f0_values = np.tile(f0_field.values[region.inside], (nt, 1))
-    f0 = project(ControlField(time_grid, region, f0_values), admissible)
 
-    return RunSetup(grid, time_grid, params, scheme, picard, cg_tol, region,
-                    admissible, weights, u0, v0, targets, f0)
+    return ControlProblem(
+        u0=u0, v0=v0, targets=targets, params=params, weights=weights,
+        admissible=admissible, region=region, time_grid=time_grid, scheme=scheme,
+        picard=picard, cg_tol=cg_tol, f0=ControlField(time_grid, region, f0_values))
 
 
 def build_problem(cfg: dict[str, object]) -> tuple[ControlProblem, OptimizeOptions]:
-    setup = build_setup(cfg, need_cost=True)
-    problem = ControlProblem(
-        u0=setup.u0,
-        v0=setup.v0,
-        targets=setup.targets,
-        params=setup.params,
-        weights=setup.weights,
-        admissible=setup.admissible,
-        region=setup.region,
-        time_grid=setup.time_grid,
-        scheme=setup.scheme,
-        picard=setup.picard,
-        cg_tol=setup.cg_tol,
-        f0=setup.f0,
-    )
+    """`build_setup`, the existence check the cost commands need, the options."""
+    problem = build_setup(cfg)
+    try:
+        require_well_posed(problem.weights, problem.admissible)
+    except ValueError as err:
+        raise ConfigError("cost.gamma_f", str(err)) from None
     shrink = float(cfg["optimizer.armijo_shrink"])
     if not 0.0 < shrink < 1.0:
         raise ConfigError("optimizer.armijo_shrink", "the backtracking factor must lie "
                           "strictly between 0 and 1")
-    opts = OptimizeOptions(
+    return problem, OptimizeOptions(
         max_iters=_at_least(cfg, "optimizer.max_iters", 0),
         vi_tol=_positive(cfg, "optimizer.vi_tol", "stationarity tolerance"),
         armijo=ArmijoSettings(
@@ -456,7 +419,6 @@ def build_problem(cfg: dict[str, object]) -> tuple[ControlProblem, OptimizeOptio
             max_backtracks=_at_least(cfg, "optimizer.armijo_max_backtracks", 0),
         ),
     )
-    return problem, opts
 
 
 # ---------------------------------------------------------------------------
@@ -470,42 +432,39 @@ def _out_dir(args, cfg: dict[str, object]) -> Path:
     return out
 
 
-def _run_forward(setup: RunSetup) -> StateTrajectory:
-    return solve_forward(
-        setup.u0, setup.v0, setup.f0, setup.params, setup.time_grid,
-        setup.picard, setup.scheme, setup.cg_tol,
-    )
+def _march_and_monitor(args, cfg: dict[str, object], problem: ControlProblem):
+    """March from the initial control, monitor it, write ``invariants.csv``."""
+    state = solve_forward(problem.u0, problem.v0, problem.initial_control(), problem.params,
+                          problem.time_grid, problem.picard, problem.scheme, problem.cg_tol)
+    report = verify.monitor_invariants(state, problem.params)
+    out = _out_dir(args, cfg)
+    (out / "invariants.csv").write_text(report.to_csv())
+    return state, report, out
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    setup = build_setup(cfg, need_cost=False)
-    if args.snapshot_every is not None:
-        snapshot_every = args.snapshot_every
-        if snapshot_every < 0:
-            raise _UsageError("--snapshot-every must be nonnegative")
-    else:
-        snapshot_every = int(cfg["output.snapshot_every"])
-        if snapshot_every < 0:
-            raise ConfigError("output.snapshot_every", "must be nonnegative")
-    state = _run_forward(setup)
-    report = verify.monitor_invariants(state, setup.params)
+    problem = build_setup(cfg)
+    snapshot_every = args.snapshot_every
+    if snapshot_every is None:
+        snapshot_every = _at_least(cfg, "output.snapshot_every", 0)
+    elif snapshot_every < 0:
+        raise _UsageError("--snapshot-every must be nonnegative")
+    state, report, out = _march_and_monitor(args, cfg, problem)
 
-    out = _out_dir(args, cfg)
-    (out / "invariants.csv").write_text(report.to_csv())
+    nt = problem.time_grid.nt
     written = 1
     if snapshot_every > 0:
-        times = setup.time_grid.times()
-        for n in range(setup.time_grid.nt + 1):
-            if n % snapshot_every == 0 or n == setup.time_grid.nt:
+        times = problem.time_grid.times()
+        for n in range(nt + 1):
+            if n % snapshot_every == 0 or n == nt:
                 write_snapshot(out / f"u_{n:06d}.ksf", state.u[n], times[n])
                 write_snapshot(out / f"v_{n:06d}.ksf", state.v[n], times[n])
                 written += 2
 
-    nt = setup.time_grid.nt
     print(
-        f"simulate: {nt} steps to T={setup.time_grid.T!r} on "
-        f"{setup.grid.nx}x{setup.grid.ny} ({setup.scheme} fluxes), "
+        f"simulate: {nt} steps to T={problem.time_grid.T!r} on "
+        f"{state.grid.nx}x{state.grid.ny} ({problem.scheme} fluxes), "
         f"{int(state.picard_iters.sum())} fixed-point sweeps"
     )
     print(
@@ -522,23 +481,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    setup = build_setup(cfg, need_cost=False)
-    state = _run_forward(setup)
-    report = verify.monitor_invariants(state, setup.params)
-    out = _out_dir(args, cfg)
-    (out / "invariants.csv").write_text(report.to_csv())
+    problem = build_setup(cfg)
+    _state, report, out = _march_and_monitor(args, cfg, problem)
 
     # Which failures falsify a guaranteed property, as opposed to one that
     # holds only under hypotheses this run does not satisfy?  The mass
     # identity is unconditional.  Nonnegativity is guaranteed for the upwind
     # flux with a nonnegative control.  The mass bound assumes the density
     # stayed nonnegative.
-    control_nonneg = float(setup.f0.values.min()) >= 0.0
+    control_nonneg = float(problem.initial_control().values.min()) >= 0.0
     hard: list[str] = []
     checks = [
         ("mass_identity", report.mass_identity_ok, True),
         ("nonnegativity", report.nonneg_ok,
-         setup.scheme == "upwind" and control_nonneg),
+         problem.scheme == "upwind" and control_nonneg),
         ("mass_bound", report.mass_bound_ok, report.nonneg_ok),
     ]
     for name, ok, guaranteed in checks:
@@ -555,11 +511,11 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_adjoint(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    setup = build_setup(cfg, need_cost=False)
+    problem = build_setup(cfg)
     state_dir = Path(args.state_dir)
-    nt = setup.time_grid.nt
+    nt = problem.time_grid.nt
 
-    grid = setup.grid
+    grid = problem.u0.grid
     u = np.empty((nt + 1, grid.nx, grid.ny))
     v = np.empty_like(u)
     for n in range(nt + 1):
@@ -581,13 +537,13 @@ def _cmd_adjoint(args) -> int:
                 raise SnapshotFormatError(f"{path}: field contains non-finite values")
             stack[n] = values
 
-    state = StateTrajectory(setup.time_grid, grid, u, v)
-    adj = solve_adjoint(state, setup.f0, setup.targets, setup.params,
-                        setup.weights, setup.scheme, setup.cg_tol,
-                        settings=setup.picard)
+    state = StateTrajectory(problem.time_grid, grid, u, v)
+    adj = solve_adjoint(state, problem.initial_control(), problem.targets, problem.params,
+                        problem.weights, problem.scheme, problem.cg_tol,
+                        settings=problem.picard)
 
     out = _out_dir(args, cfg)
-    times = setup.time_grid.times()
+    times = problem.time_grid.times()
     for n in range(nt + 1):
         write_snapshot(out / f"lam_{n:06d}.ksf", adj.lam[n], times[n])
         write_snapshot(out / f"eta_{n:06d}.ksf", adj.eta[n], times[n])
@@ -620,8 +576,7 @@ def _cmd_optimize(args) -> int:
                                  size=base.values.shape)
         else:
             values = base.values + args.start_scale * rng.standard_normal(base.values.shape)
-        f_start = ControlField(problem.time_grid, problem.region, values)
-        starts.append(project(f_start, problem.admissible))
+        starts.append(ControlField(problem.time_grid, problem.region, values))
 
     out = _out_dir(args, cfg)
     best = None

@@ -48,12 +48,17 @@ def solve_cg(
     Raises
     ------
     LinearSolverError
-        If the norm of ``rhs`` is not finite, or the residual target is not
-        met within the iteration cap.
+        If ``rhs`` has an infinite or NaN entry, or the residual target is
+        not met within the iteration cap.
     """
     b_norm = float(np.sqrt(np.sum(rhs * rhs)))
     if not np.isfinite(b_norm):
-        raise LinearSolverError("conjugate gradient: right-hand side norm is not finite", b_norm)
+        scale = float(np.max(np.abs(rhs)))
+        if not np.isfinite(scale):
+            raise LinearSolverError("conjugate gradient: right-hand side norm is not finite", b_norm)
+        # finite entries whose squares overflow: solve for rhs / max|rhs|
+        return scale * solve_cg(apply_op, rhs / scale, diag, rtol, max_iters,
+                                None if x0 is None else x0 / scale)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
     if max_iters is None:

@@ -70,12 +70,21 @@ class ArmijoSettings:
     s0: float = 1.0
     max_backtracks: int = 40
 
+    def __post_init__(self):
+        if not (0.0 < self.c1 < np.inf and 0.0 < self.s0 < np.inf
+                and 0.0 < self.shrink < 1.0 and self.max_backtracks >= 0):
+            raise ValueError("need c1, s0 in (0, inf), shrink in (0, 1), max_backtracks >= 0")
+
 
 @dataclass(frozen=True)
 class OptimizeOptions:
     max_iters: int = 100
     vi_tol: float = 1e-6
     armijo: ArmijoSettings = ArmijoSettings()
+
+    def __post_init__(self):
+        if not (self.max_iters >= 0 and 0.0 < self.vi_tol < np.inf):
+            raise ValueError("need max_iters >= 0 and a positive, finite vi_tol")
 
 
 @dataclass
@@ -94,9 +103,6 @@ class ControlProblem:
     picard: PicardSettings = PicardSettings()
     cg_tol: float = DEFAULT_CG_TOL
     f0: Optional[ControlField] = None
-
-    def __post_init__(self):
-        require_well_posed(self.weights, self.admissible)
 
     def initial_control(self) -> ControlField:
         if self.f0 is not None:
@@ -218,8 +224,10 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     diverges, or a linear solve fails) are rejected exactly like
     insufficient-decrease trials.  If the line search exhausts its
     backtracks the best iterate so far is returned with
-    ``reason = "line_search_failure"``.
+    ``reason = "line_search_failure"``.  Only solving needs a minimizer to
+    exist: `require_well_posed` raises `ValueError` before the first march.
     """
+    require_well_posed(problem.weights, problem.admissible)
     arm = opts.armijo
     f = problem.initial_control()
     state, cost = cost_of_control(problem, f)

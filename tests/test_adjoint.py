@@ -15,7 +15,11 @@ from kscontrol.adjoint import (
     step_adjoint,
 )
 from kscontrol.control import ControlField, CostWeights, TrackingTargets
-from kscontrol.errors import PicardDivergenceError, StepConditioningError
+from kscontrol.errors import (
+    GridMismatchError,
+    PicardDivergenceError,
+    StepConditioningError,
+)
 from kscontrol.forward import (
     ModelParams,
     PicardSettings,
@@ -255,6 +259,32 @@ def test_linearized_fixed_point_stall_is_reported():
                               settings=PicardSettings(tol=1e-9, max_iters=1))
     assert exc.value.last_increment > 0.0
     assert exc.value.time_index == 0
+
+
+@pytest.mark.parametrize("mismatch", ["time-grid", "grid"])
+@pytest.mark.parametrize("march", ["forward", "dual", "linearized"])
+def test_every_march_rejects_a_control_of_another_layout(march, mismatch):
+    # a control on T = 5.0, or on a grid with Lx = 2, has the same array
+    # shapes as one on the state's layout, so only the layout check sees it
+    params = ModelParams(kappa=0.8, r=0.6, mu=1.2)
+    tg = TimeGrid(T=0.2, nt=3)
+    region = RegionMask.rectangle(GRID, 0.25, 0.25, 0.75, 0.75)
+    u0 = v0 = constant_field(GRID, 0.5)
+    state = solve_forward(u0, v0, ControlField.zeros(tg, region), params, tg)
+    if mismatch == "time-grid":
+        f = ControlField.zeros(TimeGrid(T=5.0, nt=3), region)
+        error, match = ValueError, "time grid"
+    else:
+        other = RegionMask(GridSpec(Lx=2.0, Ly=1.0, nx=8, ny=8), region.inside)
+        f, error, match = ControlField.zeros(tg, other), GridMismatchError, "grid"
+    zero = np.zeros((tg.nt, GRID.nx, GRID.ny))
+    march_with = {
+        "forward": lambda: solve_forward(u0, v0, f, params, tg),
+        "dual": lambda: solve_adjoint(state, f, _targets(), params, CostWeights()),
+        "linearized": lambda: solve_linearized_dual(state, f, params, zero, zero),
+    }[march]
+    with pytest.raises(error, match=match):
+        march_with()
 
 
 def test_linearized_dual_requires_one_source_per_step():

@@ -191,14 +191,12 @@ def test_manual_forward_composition_matches_solver():
 
     u, v = u0.values, v0.values
     for n in range(tg.nt):
-        (u, v), (sweeps, int_u_bar, int_u_bar_u_new, residual) = picard_step(
+        (u, v), (sweeps, residual) = picard_step(
             GRID, u, v, f.array_at(n), params, tg.tau, scheme="upwind",
         )
         np.testing.assert_array_equal(state.u[n + 1], u)
         np.testing.assert_array_equal(state.v[n + 1], v)
         assert state.picard_iters[n] == sweeps
-        assert state.int_u_bar[n] == int_u_bar
-        assert state.int_u_bar_u_new[n] == int_u_bar_u_new
         assert state.mass_identity_residual[n] == residual
 
 

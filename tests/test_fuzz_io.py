@@ -76,9 +76,9 @@ def snap_path(tmp_path_factory):
 
 
 def _build(cfg):
-    for build in (lambda: build_setup(cfg, need_cost=False), lambda: build_problem(cfg)):
+    for build in (build_setup, build_problem):
         try:
-            build()
+            build(cfg)
         except EXIT_ONE:
             pass
 

@@ -6,6 +6,7 @@ import pytest
 from kscontrol.errors import ConfigError, SnapshotFormatError
 from kscontrol.io_cli import (
     DEFAULTS,
+    build_problem,
     build_setup,
     evaluate_expression,
     load_config,
@@ -115,69 +116,71 @@ def _setup_cfg(**overrides):
 
 def test_build_setup_validates_model_constants():
     with pytest.raises(ConfigError) as exc:
-        build_setup(_setup_cfg(**{"model.mu": -1.0}), need_cost=False)
+        build_setup(_setup_cfg(**{"model.mu": -1.0}))
     assert exc.value.key == "model.mu"
     with pytest.raises(ConfigError) as exc:
-        build_setup(_setup_cfg(**{"model.p_exponent": 3.5}), need_cost=False)
+        build_setup(_setup_cfg(**{"model.p_exponent": 3.5}))
     assert exc.value.key == "model.p_exponent"
 
 
 def test_build_setup_validates_grid_and_time():
     with pytest.raises(ConfigError) as exc:
-        build_setup(_setup_cfg(**{"grid.nx": 1}), need_cost=False)
+        build_setup(_setup_cfg(**{"grid.nx": 1}))
     assert exc.value.key == "grid.nx"
     with pytest.raises(ConfigError) as exc:
-        build_setup(_setup_cfg(**{"time.nt": 0}), need_cost=False)
+        build_setup(_setup_cfg(**{"time.nt": 0}))
     assert exc.value.key == "time.nt"
     with pytest.raises(ConfigError) as exc:
-        build_setup(_setup_cfg(**{"domain.Lx": 0.0}), need_cost=False)
+        build_setup(_setup_cfg(**{"domain.Lx": 0.0}))
     assert exc.value.key == "domain.Lx"
 
 
 def test_build_setup_validates_region():
     with pytest.raises(ConfigError, match="x1 > x0"):
-        build_setup(_setup_cfg(**{"control.region.x1": 0.0}), need_cost=False)
+        build_setup(_setup_cfg(**{"control.region.x1": 0.0}))
     # a well-ordered box lying outside the domain selects no cells
     with pytest.raises(ConfigError, match="no grid cells"):
         build_setup(_setup_cfg(**{"control.region.x0": 2.0,
-                                  "control.region.x1": 3.0}), need_cost=False)
+                                  "control.region.x1": 3.0}))
 
 
 def test_build_setup_validates_scheme_and_kind():
     with pytest.raises(ConfigError) as exc:
-        build_setup(_setup_cfg(**{"forward.scheme": "quick"}), need_cost=False)
+        build_setup(_setup_cfg(**{"forward.scheme": "quick"}))
     assert exc.value.key == "forward.scheme"
     with pytest.raises(ConfigError) as exc:
-        build_setup(_setup_cfg(**{"control.kind": "ball"}), need_cost=False)
+        build_setup(_setup_cfg(**{"control.kind": "ball"}))
     assert exc.value.key == "control.kind"
     with pytest.raises(ConfigError, match="f_min <= f_max"):
         build_setup(_setup_cfg(**{"control.kind": "box", "control.f_min": 2.0,
-                                  "control.f_max": 1.0}), need_cost=False)
+                                  "control.f_max": 1.0}))
 
 
 def test_build_setup_rejects_negative_initial_data():
     with pytest.raises(ConfigError) as exc:
-        build_setup(_setup_cfg(**{"init.u0": "constant:-0.2"}), need_cost=False)
+        build_setup(_setup_cfg(**{"init.u0": "constant:-0.2"}))
     assert exc.value.key == "init.u0"
     assert "-0.2" in str(exc.value)
 
 
-def test_build_setup_well_posedness_depends_on_need_cost():
+def test_only_build_problem_requires_well_posedness():
     cfg = _setup_cfg(**{"cost.gamma_f": 0.0})
-    build_setup(cfg, need_cost=False)  # simulation does not touch the cost
-    with pytest.raises(ConfigError, match="box"):
-        build_setup(cfg, need_cost=True)
+    build_setup(cfg)  # simulation does not touch the cost
+    with pytest.raises(ConfigError, match="box") as exc:
+        build_problem(cfg)
+    assert exc.value.key == "cost.gamma_f"
     # a box makes the zero-weight cost well posed again
     cfg_box = _setup_cfg(**{"cost.gamma_f": 0.0, "control.kind": "box",
                             "control.f_min": -1.0, "control.f_max": 1.0})
-    build_setup(cfg_box, need_cost=True)
+    build_problem(cfg_box)
 
 
-def test_build_setup_projects_initial_control_into_the_box():
+def test_configured_initial_control_is_projected_into_the_box():
     cfg = _setup_cfg(**{"control.kind": "box", "control.f_min": -0.1,
                         "control.f_max": 0.1, "control.initial": "constant:5.0"})
-    setup = build_setup(cfg, need_cost=False)
-    np.testing.assert_array_equal(setup.f0.values, 0.1)
+    problem = build_setup(cfg)
+    np.testing.assert_array_equal(problem.f0.values, 5.0)
+    np.testing.assert_array_equal(problem.initial_control().values, 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +355,23 @@ def test_cli_bad_value_exits_one_naming_the_key(base_cfg, tmp_path, capsys,
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
+
+
+def test_cli_gamma_f_zero_on_an_unbounded_set_blocks_only_the_cost_commands(
+        base_cfg, tmp_path, capsys):
+    # the state and the dual exist for every control; only a minimizer
+    # needs gamma_f > 0 or a bounded admissible set
+    zero = ["--config", base_cfg, "--set", "cost.gamma_f=0"]
+    state = str(tmp_path / "state")
+    assert run(["simulate", *zero, "--output", state, "--snapshot-every", "1"]) == 0
+    assert run(["invariants", *zero, "--output", str(tmp_path / "inv")]) == 0
+    assert run(["adjoint", *zero, "--state-dir", state,
+                "--output", str(tmp_path / "dual")]) == 0
+    capsys.readouterr()
+    for command in ("optimize", "grad-check"):
+        assert run([command, *zero, "--output", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cost.gamma_f: ")
 
 
 def test_cli_simulate_writes_invariants_and_snapshots(base_cfg, tmp_path, capsys):

@@ -73,6 +73,20 @@ def test_cg_rejects_non_finite_rhs(x0):
         solve_cg(lambda v: a @ v, np.array([1.0, np.inf, 0.0, 0.0]), np.diag(a), x0=x0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("x0", [None, np.full(4, 1e199)], ids=["cold", "warm"])
+def test_cg_solves_rhs_whose_norm_overflows(x0):
+    # every entry is finite but the sum of squares overflows: the solve
+    # still succeeds, while a NaN entry is still rejected
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    b = np.array([1e200, 0.0, 0.0, 0.0])
+    x = solve_cg(lambda v: a @ v, b, np.diag(a), rtol=1e-12, x0=x0)
+    np.testing.assert_allclose(x, [1e200, 0.0, 0.0, 0.0], rtol=1e-12, atol=1e188)
+    b[1] = np.nan
+    with pytest.raises(LinearSolverError, match="not finite"):
+        solve_cg(lambda v: a @ v, b, np.diag(a), x0=x0)
+
+
 def _dense_neumann_laplacian(n, h):
     """1-d cell-centred second difference with mirrored (zero-flux) ends."""
     d = (np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)

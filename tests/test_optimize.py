@@ -208,8 +208,29 @@ def test_initial_control_is_projected():
 
 
 def test_problem_requires_well_posed_setup():
+    # the state and the dual exist for every control, so building the
+    # problem, its cost and its gradient need no minimizer; only solve does
+    problem = _tracking_problem(weights=CostWeights(1.0, 1.0, 0.0))
+    f = problem.initial_control()
+    state, _ = cost_of_control(problem, f)
+    gradient_of_control(problem, f, state)
     with pytest.raises(ValueError, match="gamma_f"):
-        _tracking_problem(weights=CostWeights(1.0, 1.0, 0.0))
+        solve(problem, OptimizeOptions(max_iters=1))
+
+
+@pytest.mark.parametrize("settings", [
+    ("armijo", {"shrink": 0.0}), ("armijo", {"shrink": 1.0}), ("armijo", {"shrink": -0.5}),
+    ("armijo", {"shrink": np.nan}), ("armijo", {"c1": 0.0}), ("armijo", {"c1": np.inf}),
+    ("armijo", {"s0": 0.0}), ("armijo", {"s0": np.nan}), ("armijo", {"max_backtracks": -1}),
+    ("options", {"max_iters": -1}), ("options", {"vi_tol": 0.0}),
+    ("options", {"vi_tol": np.nan}),
+], ids=lambda s: "-".join(f"{k}={v}" for k, v in s[1].items()))
+def test_bad_optimizer_settings_are_rejected(settings):
+    # shrink = 0 used to end solve in ZeroDivisionError, shrink = 1 or -0.5
+    # in a silent line_search_failure at step 0
+    kind, kwargs = settings
+    with pytest.raises(ValueError):
+        (ArmijoSettings if kind == "armijo" else OptimizeOptions)(**kwargs)
 
 
 # ----------------------------------------------------------------------
