@@ -8,7 +8,8 @@ The package solves, on a 2-D rectangle with zero-flux boundaries,
 and minimizes a tracking cost over the bilinear control ``f`` by projected
 gradient descent, with the gradient assembled from a discrete dual sweep.
 Everything is finite volumes on a uniform cell-centered grid, backward Euler
-in time, and hand-rolled preconditioned CG - no external solver machinery.
+in time, and hand-rolled CG preconditioned by a dense DCT-II - no external
+solver machinery.
 """
 
 from .control import (

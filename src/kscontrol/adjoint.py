@@ -93,18 +93,18 @@ def check_eta_shift(f_vals: np.ndarray, tau: float) -> None:
 
 
 def _dual_coefficients(u_new: np.ndarray, f_now: np.ndarray, params: ModelParams, tau: float):
-    """``u_+``, the reaction ``2 mu u_+ - r`` and the signal shift ``1/tau + 1 - f``
-    of one dual or linearized step, after checking both solves stay SPD."""
+    """``u_+`` and the shifts ``1/tau + 2 mu u_+ - r`` and ``1/tau + 1 - f`` of
+    one dual or linearized step, after checking both solves stay SPD."""
     upos = np.maximum(u_new, 0.0)
-    react = 2.0 * params.mu * upos - params.r
-    if 1.0 / tau + float(react.min()) <= 0.0:
+    shift_u = 1.0 / tau + 2.0 * params.mu * upos - params.r
+    if float(shift_u.min()) <= 0.0:
         raise StepConditioningError(
             f"dual density equation loses definiteness at tau = {tau:g}: "
             "the reaction shift 1/tau - r + 2 mu u_+ must stay positive; "
             "reduce the time step"
         )
     check_eta_shift(f_now, tau)
-    return upos, react, 1.0 / tau + 1.0 - f_now
+    return upos, shift_u, 1.0 / tau + 1.0 - f_now
 
 
 def step_adjoint(
@@ -136,7 +136,7 @@ def step_adjoint(
     hx, hy = grid.hx, grid.hy
     inv_tau = 1.0 / tau
 
-    upos, react, shift_eta = _dual_coefficients(u_new, f_now, params, tau)
+    upos, shift_lam, shift_eta = _dual_coefficients(u_new, f_now, params, tau)
 
     rhs_lam_base = lambda_next * inv_tau
     if weights.gamma_u != 0.0:
@@ -158,8 +158,7 @@ def step_adjoint(
             rhs_lam = rhs_lam - params.kappa * mesh.chemotaxis_adjoint_arrays(
                 lam_bar, v_new, hx, hy, scheme
             )
-        lam_now = linalg.solve_shifted(grid, inv_tau, rhs_lam, reaction=react,
-                                       rtol=cg_tol, x0=lam_bar)
+        lam_now = linalg.solve_shifted(grid, shift_lam, rhs_lam, rtol=cg_tol, x0=lam_bar)
         return lam_now, eta_now
 
     (lam, eta), _, _ = coupled_fixed_point(
@@ -253,8 +252,8 @@ def solve_linearized_dual(
 
     for m in range(nt):
         v_new = state.v[m + 1]
-        upos, react, shift_v = _dual_coefficients(state.u[m + 1], control.array_at(m),
-                                                  params, tau)
+        upos, shift_u, shift_v = _dual_coefficients(state.u[m + 1], control.array_at(m),
+                                                     params, tau)
         rhs_u_base = source_u[m] + u_prev * inv_tau
         rhs_v_base = source_v[m] + v_prev * inv_tau
 
@@ -265,8 +264,7 @@ def solve_linearized_dual(
                     mesh.chemotaxis_divergence_arrays(u_bar, v_new, hx, hy, scheme)
                     + mesh.weighted_diffusion_arrays(upos, v_bar, v_new, hx, hy, scheme)
                 )
-            u_lin = linalg.solve_shifted(grid, inv_tau, rhs_u, reaction=react,
-                                         rtol=cg_tol, x0=u_bar)
+            u_lin = linalg.solve_shifted(grid, shift_u, rhs_u, rtol=cg_tol, x0=u_bar)
             v_lin = linalg.solve_shifted(grid, shift_v, rhs_v_base + u_lin,
                                          rtol=cg_tol, x0=v_bar)
             return u_lin, v_lin

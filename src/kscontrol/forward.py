@@ -233,7 +233,7 @@ def step_u(
         rhs = rhs + source
         int_source = float(source.sum()) * area
 
-    u_new = linalg.solve_shifted(grid, 1.0 / tau, rhs, reaction=params.mu * ubar_pos,
+    u_new = linalg.solve_shifted(grid, 1.0 / tau + params.mu * ubar_pos, rhs,
                                  rtol=cg_tol, x0=x0)
 
     # Close the mass balance exactly: the divergence terms integrate to zero

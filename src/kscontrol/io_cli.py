@@ -566,6 +566,8 @@ def _cmd_optimize(args) -> int:
     problem, opts = build_problem(cfg)
     if args.starts < 1:
         raise _UsageError("--starts must be at least 1")
+    if not np.isfinite(args.start_scale):
+        raise _UsageError("--start-scale must be finite")
 
     rng = np.random.default_rng(args.seed)
     base = problem.initial_control()
@@ -609,8 +611,8 @@ def _cmd_grad_check(args) -> int:
     problem, _opts = build_problem(cfg)
     if args.directions < 1:
         raise _UsageError("--directions must be at least 1")
-    if args.eps <= 0:
-        raise _UsageError("--eps must be positive")
+    if not (np.isfinite(args.eps) and args.eps > 0):
+        raise _UsageError("--eps must be finite and positive")
 
     f = problem.initial_control()
     state, _cost = cost_of_control(problem, f)

@@ -2,11 +2,12 @@
 
 The grid covers ``[0, Lx] x [0, Ly]`` with ``nx * ny`` uniform cells; all
 unknowns live at cell centers ``((i + 0.5) hx, (j + 0.5) hy)`` stored in
-arrays of shape ``(nx, ny)``.  Homogeneous Neumann conditions enter through
-mirrored ghost cells, which makes every operator here conservative: the
+arrays of shape ``(nx, ny)``.  Every operator is the divergence of fluxes
+on the interior faces, and homogeneous Neumann conditions enter as zero flux
+on the boundary faces.  That makes every operator here conservative: the
 discrete integral of ``laplacian_array`` and of
 ``chemotaxis_divergence_arrays`` vanishes identically because interior face
-fluxes telescope and boundary fluxes are zero by construction.
+fluxes telescope.
 
 Besides the two divergence-form operators the module provides the exact
 transpose of the chemotaxis stencil with respect to its density argument
@@ -139,20 +140,8 @@ def check_same_grid(*objs) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 def laplacian_array(vals: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Five-point Neumann Laplacian via mirrored ghost cells."""
-    p = np.pad(vals, 1, mode="edge")
-    return (p[2:, 1:-1] - 2.0 * vals + p[:-2, 1:-1]) / (hx * hx) + (
-        p[1:-1, 2:] - 2.0 * vals + p[1:-1, :-2]
-    ) / (hy * hy)
-
-
-def laplacian_diag(grid: GridSpec) -> np.ndarray:
-    """Diagonal of ``-laplacian_array`` (boundary cells lose mirror links)."""
-    cnt_x = np.full((grid.nx, 1), 2.0)
-    cnt_x[0, 0] = cnt_x[-1, 0] = 1.0
-    cnt_y = np.full((1, grid.ny), 2.0)
-    cnt_y[0, 0] = cnt_y[0, -1] = 1.0
-    return cnt_x / grid.hx**2 + cnt_y / grid.hy**2
+    """Five-point Neumann Laplacian: divergence of the interior face gradients."""
+    return _divergence(*_face_gradients(vals, hx, hy), hx, hy)
 
 
 def _face_gradients(v: np.ndarray, hx: float, hy: float):

@@ -357,6 +357,23 @@ def test_cli_bad_value_exits_one_naming_the_key(base_cfg, tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("optimize", "--start-scale", "nan"),
+    ("optimize", "--start-scale", "inf"),
+    ("grad-check", "--eps", "inf"),
+    ("grad-check", "--eps", "nan"),
+    ("grad-check", "--eps", "0"),
+])
+def test_cli_bad_float_flag_exits_one(base_cfg, tmp_path, capsys, command, flag, value):
+    # the flag is checked before any march, so nothing is written
+    out = tmp_path / "out"
+    extra = ["--starts", "2"] if command == "optimize" else ["--directions", "1"]
+    assert run([command, "--config", base_cfg, "--output", str(out), *extra, flag, value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} must be ")
+    assert not out.exists()
+
+
 def test_cli_gamma_f_zero_on_an_unbounded_set_blocks_only_the_cost_commands(
         base_cfg, tmp_path, capsys):
     # the state and the dual exist for every control; only a minimizer
