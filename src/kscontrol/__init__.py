@@ -28,6 +28,7 @@ from .adjoint import AdjointTrajectory, solve_adjoint, solve_linearized_dual, st
 from .errors import (
     ConfigError,
     GridMismatchError,
+    InvalidValue,
     KSControlError,
     LinearSolverError,
     PicardDivergenceError,
@@ -69,7 +70,6 @@ from .optimize import (
 from .verify import (
     ConvergenceTable,
     InvariantReport,
-    InvariantTolerances,
     ReferenceResult,
     analytic_references,
     duality_gap,
@@ -98,8 +98,8 @@ __all__ = [
     "Field2D",
     "GridMismatchError",
     "GridSpec",
+    "InvalidValue",
     "InvariantReport",
-    "InvariantTolerances",
     "IterateRecord",
     "KKTReport",
     "KSControlError",

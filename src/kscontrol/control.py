@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, require
 from .mesh import RegionMask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,8 +79,9 @@ class CostWeights:
     gamma_f: float = 1e-3
 
     def __post_init__(self):
-        if self.gamma_u < 0 or self.gamma_v < 0 or self.gamma_f < 0:
-            raise ValueError("cost weights must be nonnegative")
+        for name in ("gamma_u", "gamma_v", "gamma_f"):
+            require(0 <= getattr(self, name) < np.inf, name,
+                    f"the cost weight {name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,15 @@ class AdmissibleSet:
     f_max: float = np.inf
 
     def __post_init__(self):
-        if self.kind not in ("unconstrained", "box"):
-            raise ValueError(f"unknown admissible set kind {self.kind!r}")
+        require(self.kind in ("unconstrained", "box"), "kind",
+                f"expected admissible set kind 'unconstrained' or 'box', got {self.kind!r}")
         if self.kind == "box":
-            if not (np.isfinite(self.f_min) and np.isfinite(self.f_max)):
-                raise ValueError("box bounds must be finite")
-            if not self.f_min <= self.f_max:
-                raise ValueError("box requires f_min <= f_max")
-        elif self.f_min != -np.inf or self.f_max != np.inf:
-            raise ValueError("an unconstrained set takes no bounds")
+            require(np.isfinite(self.f_min), "f_min", "box bounds must be finite")
+            require(np.isfinite(self.f_max), "f_max", "box bounds must be finite")
+            require(self.f_min <= self.f_max, "f_min", "box requires f_min <= f_max")
+        else:
+            require(self.f_min == -np.inf, "f_min", "an unconstrained set takes no bounds")
+            require(self.f_max == np.inf, "f_max", "an unconstrained set takes no bounds")
 
     @property
     def bounded(self) -> bool:

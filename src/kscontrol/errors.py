@@ -2,7 +2,9 @@
 
 Every failure mode that user input can trigger maps onto one of these, so
 the command line layer can translate them into exit codes without string
-matching.
+matching.  Each parameter type states the rules for its own fields and
+raises `InvalidValue` naming the rejected constructor argument; the command
+line maps that name to its configuration key and reports a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,20 @@ from __future__ import annotations
 
 class KSControlError(Exception):
     """Base class for all package errors."""
+
+
+class InvalidValue(KSControlError, ValueError):
+    """A constructor argument breaks its type's rule; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def require(ok: bool, field: str, message: str) -> None:
+    """Raise `InvalidValue` for ``field`` unless ``ok``."""
+    if not ok:
+        raise InvalidValue(field, message)
 
 
 class GridMismatchError(KSControlError):

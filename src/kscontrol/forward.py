@@ -42,7 +42,7 @@ import numpy as np
 
 from . import linalg, mesh
 from .control import ControlField
-from .errors import PicardDivergenceError
+from .errors import PicardDivergenceError, require
 from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, GridSpec, Scheme
 
@@ -59,10 +59,11 @@ class ModelParams:
     p_exponent: float = 2.1
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not 2.0 < self.p_exponent < 3.0:
-            raise ValueError("p_exponent must lie in (2, 3)")
+        require(np.isfinite(self.kappa), "kappa", "the chemotactic sensitivity must be finite")
+        require(np.isfinite(self.r), "r", "the growth rate must be finite")
+        require(0 < self.mu < np.inf, "mu", "the logistic damping mu must be positive and finite")
+        require(2.0 < self.p_exponent < 3.0, "p_exponent",
+                "the control-cost exponent must lie strictly between 2 and 3")
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,8 @@ class TimeGrid:
     nt: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("final time must be positive")
-        if self.nt < 1:
-            raise ValueError("need at least one time step")
+        require(0 < self.T < np.inf, "T", "the final time must be positive and finite")
+        require(self.nt >= 1, "nt", "need at least one time step")
 
     @property
     def tau(self) -> float:
@@ -92,10 +91,9 @@ class PicardSettings:
     max_iters: int = 50
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        require(0 < self.tol < np.inf, "tol",
+                "the fixed-point tolerance must be positive and finite")
+        require(self.max_iters >= 1, "max_iters", "need at least one fixed-point sweep")
 
 
 @dataclass

@@ -49,6 +49,7 @@ from .control import (
 )
 from .errors import (
     ConfigError,
+    InvalidValue,
     LinearSolverError,
     PicardDivergenceError,
     SnapshotFormatError,
@@ -234,13 +235,13 @@ def _expr_floats(key: str, text: str, count: int) -> list[float]:
 def evaluate_expression(key: str, text: str, grid: GridSpec) -> Field2D:
     """Turn one config field expression into a grid field.
 
-    Values that come out non-finite (``inf``, ``nan``, an overflow, or a
-    snapshot holding them) raise `ConfigError` naming ``key``.
+    Values that `Field2D` rejects (a snapshot of another shape; ``inf``,
+    ``nan`` or an overflow) raise `ConfigError` naming ``key``.
     """
     head, _, rest = text.partition(":")
     head = head.strip()
     X, Y = grid.cell_centers()
-    with np.errstate(all="ignore"):  # an overflow shows up as inf, rejected below
+    with np.errstate(all="ignore"):  # an overflow shows up as inf, which Field2D rejects
         if head == "zero":
             if rest.strip():
                 raise ConfigError(key, "the zero expression takes no parameters")
@@ -264,21 +265,16 @@ def evaluate_expression(key: str, text: str, grid: GridSpec) -> Field2D:
             if not name:
                 raise ConfigError(key, "path expression needs a file name")
             values, _time = read_snapshot(name)
-            if values.shape != (grid.nx, grid.ny):
-                raise ConfigError(
-                    key,
-                    f"snapshot {name} holds a {values.shape[0]}x{values.shape[1]} field, "
-                    f"the grid is {grid.nx}x{grid.ny}",
-                )
         else:
             raise ConfigError(
                 key,
                 f"unknown field expression {head!r} "
                 "(expected constant, cosine, gaussian, or path)",
             )
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(key, f"{text!r} gives non-finite values")
-    return Field2D(grid, values)
+    try:
+        return Field2D(grid, values)
+    except InvalidValue as err:
+        raise ConfigError(key, f"{text!r}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -286,65 +282,28 @@ def evaluate_expression(key: str, text: str, grid: GridSpec) -> Field2D:
 # ---------------------------------------------------------------------------
 
 
-def _positive(cfg: dict, key: str, what: str) -> float:
-    value = float(cfg[key])
-    if not (value > 0 and np.isfinite(value)):
-        raise ConfigError(key, f"{what} must be positive and finite")
-    return value
-
-
-def _finite(cfg: dict, key: str, what: str) -> float:
-    value = float(cfg[key])
-    if not np.isfinite(value):
-        raise ConfigError(key, f"{what} must be finite")
-    return value
-
-
-def _at_least(cfg: dict, key: str, low: int) -> int:
-    value = int(cfg[key])
-    if value < low:
-        raise ConfigError(key, f"must be at least {low}, got {value}")
-    return value
+def _built(cfg: dict, cls, given: Optional[dict] = None, /, **keys: str):
+    """``cls(**given)`` with each field ``name=key`` set to ``cfg[key]``; the
+    field the type rejects is reported as a `ConfigError` naming its key."""
+    try:
+        return cls(**(given or {}), **{name: cfg[key] for name, key in keys.items()})
+    except InvalidValue as err:
+        raise ConfigError(keys[err.field], str(err)) from None
 
 
 def build_setup(cfg: dict[str, object]) -> ControlProblem:
     """Validate a configuration and build the problem it describes, with
     ``f0`` the configured control, unprojected (`build_problem` adds the
     existence check, so ``gamma_f = 0`` on an unbounded set builds here)."""
-    Lx = _positive(cfg, "domain.Lx", "domain length")
-    Ly = _positive(cfg, "domain.Ly", "domain length")
-    nx, ny = _at_least(cfg, "grid.nx", 2), _at_least(cfg, "grid.ny", 2)
-    for key, n in (("grid.nx", nx), ("grid.ny", ny)):
+    grid = _built(cfg, GridSpec, Lx="domain.Lx", Ly="domain.Ly", nx="grid.nx", ny="grid.ny")
+    for key, n in (("grid.nx", grid.nx), ("grid.ny", grid.ny)):
         if n >= 2**32:  # the KSF1 header stores the grid size as u32
             raise ConfigError(key, f"{n} cells exceed the snapshot limit of 2**32 - 1")
-    grid = GridSpec(Lx, Ly, nx, ny)
-
-    T = _positive(cfg, "time.T", "final time")
-    nt = _at_least(cfg, "time.nt", 1)
-    time_grid = TimeGrid(T=T, nt=nt)
-
-    mu = _positive(cfg, "model.mu", "the logistic damping coefficient")
-    p = float(cfg["model.p_exponent"])
-    if not 2.0 < p < 3.0:
-        raise ConfigError(
-            "model.p_exponent", "the control-cost exponent must lie strictly between 2 and 3"
-        )
-    params = ModelParams(
-        kappa=_finite(cfg, "model.kappa", "the chemotactic sensitivity"),
-        r=_finite(cfg, "model.r", "the growth rate"), mu=mu, p_exponent=p,
-    )
-
-    scheme = str(cfg["forward.scheme"])
-    if scheme not in ("central", "upwind"):
-        raise ConfigError(
-            "forward.scheme", f"expected 'central' or 'upwind', got {scheme!r}"
-        )
-
-    picard = PicardSettings(
-        tol=_positive(cfg, "forward.picard_tol", "fixed-point tolerance"),
-        max_iters=_at_least(cfg, "forward.picard_max_iters", 1),
-    )
-    cg_tol = _positive(cfg, "forward.cg_tol", "linear solver tolerance")
+    time_grid = _built(cfg, TimeGrid, T="time.T", nt="time.nt")
+    params = _built(cfg, ModelParams, kappa="model.kappa", r="model.r", mu="model.mu",
+                    p_exponent="model.p_exponent")
+    picard = _built(cfg, PicardSettings, tol="forward.picard_tol",
+                    max_iters="forward.picard_max_iters")
 
     x0, y0 = float(cfg["control.region.x0"]), float(cfg["control.region.y0"])
     x1, y1 = float(cfg["control.region.x1"]), float(cfg["control.region.y1"])
@@ -356,26 +315,11 @@ def build_setup(cfg: dict[str, object]) -> ControlProblem:
     if region.count == 0:
         raise ConfigError("control.region.x0", "the control region contains no grid cells")
 
-    kind = str(cfg["control.kind"])
-    if kind == "unconstrained":
-        admissible = AdmissibleSet()
-    elif kind == "box":
-        try:
-            admissible = AdmissibleSet("box", float(cfg["control.f_min"]),
-                                       float(cfg["control.f_max"]))
-        except ValueError as err:
-            raise ConfigError("control.f_min", str(err)) from None
-    else:
-        raise ConfigError(
-            "control.kind", f"expected 'unconstrained' or 'box', got {kind!r}"
-        )
-
-    gamma_keys = ("cost.gamma_u", "cost.gamma_v", "cost.gamma_f")
-    gammas = [_finite(cfg, key, "a cost weight") for key in gamma_keys]
-    for key, value in zip(gamma_keys, gammas):
-        if value < 0:
-            raise ConfigError(key, "cost weights must be nonnegative")
-    weights = CostWeights(*gammas)
+    bounds = {"f_min": "control.f_min", "f_max": "control.f_max"}
+    admissible = _built(cfg, AdmissibleSet, kind="control.kind",
+                        **(bounds if cfg["control.kind"] == "box" else {}))
+    weights = _built(cfg, CostWeights, gamma_u="cost.gamma_u", gamma_v="cost.gamma_v",
+                     gamma_f="cost.gamma_f")
 
     u0 = evaluate_expression("init.u0", str(cfg["init.u0"]), grid)
     v0 = evaluate_expression("init.v0", str(cfg["init.v0"]), grid)
@@ -390,12 +334,13 @@ def build_setup(cfg: dict[str, object]) -> ControlProblem:
     targets = TrackingTargets(u_d=u_d, v_d=v_d)
 
     f0_field = evaluate_expression("control.initial", str(cfg["control.initial"]), grid)
-    f0_values = np.tile(f0_field.values[region.inside], (nt, 1))
+    f0_values = np.tile(f0_field.values[region.inside], (time_grid.nt, 1))
 
-    return ControlProblem(
+    return _built(cfg, ControlProblem, dict(
         u0=u0, v0=v0, targets=targets, params=params, weights=weights,
-        admissible=admissible, region=region, time_grid=time_grid, scheme=scheme,
-        picard=picard, cg_tol=cg_tol, f0=ControlField(time_grid, region, f0_values))
+        admissible=admissible, region=region, time_grid=time_grid, picard=picard,
+        f0=ControlField(time_grid, region, f0_values)),
+        scheme="forward.scheme", cg_tol="forward.cg_tol")
 
 
 def build_problem(cfg: dict[str, object]) -> tuple[ControlProblem, OptimizeOptions]:
@@ -405,20 +350,11 @@ def build_problem(cfg: dict[str, object]) -> tuple[ControlProblem, OptimizeOptio
         require_well_posed(problem.weights, problem.admissible)
     except ValueError as err:
         raise ConfigError("cost.gamma_f", str(err)) from None
-    shrink = float(cfg["optimizer.armijo_shrink"])
-    if not 0.0 < shrink < 1.0:
-        raise ConfigError("optimizer.armijo_shrink", "the backtracking factor must lie "
-                          "strictly between 0 and 1")
-    return problem, OptimizeOptions(
-        max_iters=_at_least(cfg, "optimizer.max_iters", 0),
-        vi_tol=_positive(cfg, "optimizer.vi_tol", "stationarity tolerance"),
-        armijo=ArmijoSettings(
-            c1=_positive(cfg, "optimizer.armijo_c1", "sufficient-decrease constant"),
-            shrink=shrink,
-            s0=_positive(cfg, "optimizer.armijo_s0", "initial step"),
-            max_backtracks=_at_least(cfg, "optimizer.armijo_max_backtracks", 0),
-        ),
-    )
+    armijo = _built(cfg, ArmijoSettings, c1="optimizer.armijo_c1",
+                    shrink="optimizer.armijo_shrink", s0="optimizer.armijo_s0",
+                    max_backtracks="optimizer.armijo_max_backtracks")
+    return problem, _built(cfg, OptimizeOptions, dict(armijo=armijo),
+                           max_iters="optimizer.max_iters", vi_tol="optimizer.vi_tol")
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +383,9 @@ def _cmd_simulate(args) -> int:
     problem = build_setup(cfg)
     snapshot_every = args.snapshot_every
     if snapshot_every is None:
-        snapshot_every = _at_least(cfg, "output.snapshot_every", 0)
-    elif snapshot_every < 0:
-        raise _UsageError("--snapshot-every must be nonnegative")
+        snapshot_every = int(cfg["output.snapshot_every"])
+        if snapshot_every < 0:
+            raise ConfigError("output.snapshot_every", f"must be at least 0, got {snapshot_every}")
     state, report, out = _march_and_monitor(args, cfg, problem)
 
     nt = problem.time_grid.nt
@@ -527,15 +463,10 @@ def _cmd_adjoint(args) -> int:
                     "`ks-control simulate --snapshot-every 1` with the same "
                     "configuration first"
                 )
-            values, _time = read_snapshot(path)
-            if values.shape != (grid.nx, grid.ny):
-                raise SnapshotFormatError(
-                    f"{path}: {values.shape[0]}x{values.shape[1]} field does not "
-                    f"match the configured {grid.nx}x{grid.ny} grid"
-                )
-            if not np.all(np.isfinite(values)):
-                raise SnapshotFormatError(f"{path}: field contains non-finite values")
-            stack[n] = values
+            try:
+                stack[n] = Field2D(grid, read_snapshot(path)[0]).values
+            except InvalidValue as err:
+                raise SnapshotFormatError(f"{path}: {err}") from None
 
     state = StateTrajectory(problem.time_grid, grid, u, v)
     adj = solve_adjoint(state, problem.initial_control(), problem.targets, problem.params,
@@ -564,10 +495,6 @@ def _optimize_csv(report) -> str:
 def _cmd_optimize(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem, opts = build_problem(cfg)
-    if args.starts < 1:
-        raise _UsageError("--starts must be at least 1")
-    if not np.isfinite(args.start_scale):
-        raise _UsageError("--start-scale must be finite")
 
     rng = np.random.default_rng(args.seed)
     base = problem.initial_control()
@@ -609,10 +536,6 @@ def _cmd_optimize(args) -> int:
 def _cmd_grad_check(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem, _opts = build_problem(cfg)
-    if args.directions < 1:
-        raise _UsageError("--directions must be at least 1")
-    if not (np.isfinite(args.eps) and args.eps > 0):
-        raise _UsageError("--eps must be finite and positive")
 
     f = problem.initial_control()
     state, _cost = cost_of_control(problem, f)
@@ -652,8 +575,6 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_mms(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    if args.levels < 2:
-        raise _UsageError("--levels must be at least 2")
     table = verify.mms_convergence(levels=args.levels, study=args.study,
                                    scheme=args.scheme)
     out = _out_dir(args, cfg)
@@ -685,6 +606,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse ``type=`` that converts a flag's text and rejects a value
+    breaking ``rule``; argparse reports ``argument FLAG: must be RULE``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+_COUNT = _checked(int, lambda n: n >= 0, "at least 0")
+_POSITIVE_COUNT = _checked(int, lambda n: n >= 1, "at least 1")
+_TOLERANCE = _checked(float, lambda x: 0 <= x < np.inf, "finite and nonnegative")
+
+
 def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> None:
     parser.add_argument("--config", required=needs_config, default=None,
                         help="configuration file (key = value lines)")
@@ -692,7 +630,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> N
                         metavar="KEY=VALUE", help="override one configuration key")
     parser.add_argument("--output", default=None, metavar="DIR",
                         help="directory for output files (default: output.directory)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_COUNT, default=0,
                         help="seed for any randomized auxiliary data")
 
 
@@ -705,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the forward solver")
     _add_common(sim)
-    sim.add_argument("--snapshot-every", type=int, default=None, metavar="K",
+    sim.add_argument("--snapshot-every", type=_COUNT, default=None, metavar="K",
                      help="write u/v snapshots every K levels (0 = none; "
                           "default: output.snapshot_every)")
 
@@ -716,17 +654,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="projected-gradient descent on the control")
     _add_common(opt)
-    opt.add_argument("--starts", type=int, default=1,
+    opt.add_argument("--starts", type=_POSITIVE_COUNT, default=1,
                      help="number of initial controls (first is control.initial)")
-    opt.add_argument("--start-scale", type=float, default=1.0,
+    opt.add_argument("--start-scale", type=_checked(float, np.isfinite, "finite"), default=1.0,
                      help="perturbation size for unconstrained extra starts")
 
     gc = sub.add_parser("grad-check",
                         help="compare the assembled gradient with finite differences")
     _add_common(gc)
-    gc.add_argument("--directions", type=int, default=5)
-    gc.add_argument("--eps", type=float, default=1e-5)
-    gc.add_argument("--tol", type=float, default=1e-4,
+    gc.add_argument("--directions", type=_POSITIVE_COUNT, default=5)
+    gc.add_argument("--eps", type=_checked(float, lambda x: 0 < x < np.inf, "finite and positive"),
+                    default=1e-5)
+    gc.add_argument("--tol", type=_TOLERANCE, default=1e-4,
                     help="largest acceptable relative error")
 
     inv = sub.add_parser("invariants", help="run the solver and check its invariants")
@@ -735,9 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     mms = sub.add_parser("mms", help="manufactured-solution convergence study")
     _add_common(mms, needs_config=False)
     mms.add_argument("--study", choices=("spatial", "temporal"), default="spatial")
-    mms.add_argument("--levels", type=int, default=3)
+    mms.add_argument("--levels", type=_checked(int, lambda n: n >= 2, "at least 2"), default=3)
     mms.add_argument("--scheme", choices=("central", "upwind"), default="central")
-    mms.add_argument("--order-tol", type=float, default=0.2)
+    mms.add_argument("--order-tol", type=_TOLERANCE, default=0.2)
 
     return parser
 

@@ -26,7 +26,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, InvalidValue, require
 
 Scheme = Literal["central", "upwind"]
 
@@ -41,10 +41,10 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if not (self.Lx > 0 and self.Ly > 0):
-            raise ValueError("domain side lengths must be positive")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("need at least two cells per direction")
+        require(0 < self.Lx < np.inf, "Lx", "the domain length Lx must be positive and finite")
+        require(0 < self.Ly < np.inf, "Ly", "the domain length Ly must be positive and finite")
+        require(self.nx >= 2, "nx", "need at least two cells in x")
+        require(self.ny >= 2, "ny", "need at least two cells in y")
 
     @property
     def hx(self) -> float:
@@ -67,7 +67,8 @@ class GridSpec:
 
 @dataclass
 class Field2D:
-    """One scalar unknown per cell.  Values must stay finite."""
+    """One scalar unknown per cell: the only owner of the rule that values
+    entering from outside match their grid and are finite."""
 
     grid: GridSpec
     values: np.ndarray
@@ -75,12 +76,10 @@ class Field2D:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite values")
+            raise InvalidValue("values", f"a {'x'.join(map(str, self.values.shape))} field "
+                                         f"does not match the {self.grid.nx}x{self.grid.ny} grid")
+        require(np.all(np.isfinite(self.values)), "values",
+                "the field contains non-finite values")
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.values, dtype=dtype, copy=copy)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import AdjointTrajectory, check_eta_shift, solve_adjoint
-from .errors import LinearSolverError, PicardDivergenceError, StepConditioningError
+from .errors import LinearSolverError, PicardDivergenceError, StepConditioningError, require
 from .control import (
     AdmissibleSet,
     ControlField,
@@ -71,9 +71,12 @@ class ArmijoSettings:
     max_backtracks: int = 40
 
     def __post_init__(self):
-        if not (0.0 < self.c1 < np.inf and 0.0 < self.s0 < np.inf
-                and 0.0 < self.shrink < 1.0 and self.max_backtracks >= 0):
-            raise ValueError("need c1, s0 in (0, inf), shrink in (0, 1), max_backtracks >= 0")
+        require(0.0 < self.c1 < np.inf, "c1",
+                "the sufficient-decrease constant must be positive and finite")
+        require(0.0 < self.shrink < 1.0, "shrink",
+                "the backtracking factor must lie strictly between 0 and 1")
+        require(0.0 < self.s0 < np.inf, "s0", "the initial step must be positive and finite")
+        require(self.max_backtracks >= 0, "max_backtracks", "backtracks cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,9 @@ class OptimizeOptions:
     armijo: ArmijoSettings = ArmijoSettings()
 
     def __post_init__(self):
-        if not (self.max_iters >= 0 and 0.0 < self.vi_tol < np.inf):
-            raise ValueError("need max_iters >= 0 and a positive, finite vi_tol")
+        require(self.max_iters >= 0, "max_iters", "iterations cannot be negative")
+        require(0.0 < self.vi_tol < np.inf, "vi_tol",
+                "the stationarity tolerance must be positive and finite")
 
 
 @dataclass
@@ -103,6 +107,12 @@ class ControlProblem:
     picard: PicardSettings = PicardSettings()
     cg_tol: float = DEFAULT_CG_TOL
     f0: Optional[ControlField] = None
+
+    def __post_init__(self):
+        require(self.scheme in ("central", "upwind"), "scheme",
+                f"expected scheme 'central' or 'upwind', got {self.scheme!r}")
+        require(0.0 < self.cg_tol < np.inf, "cg_tol",
+                "the linear solver tolerance must be positive and finite")
 
     def initial_control(self) -> ControlField:
         if self.f0 is not None:

@@ -60,11 +60,12 @@ def csv_table(header: str, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantTolerances:
-    nonneg_tol: float = 1e-12
-    mass_identity_tol: float = 1e-12
-    mass_bound_rel_slack: float = 1e-12
+# Round-off allowances of the monitors: an absolute floor for the minima,
+# and relative slacks (against max(1, |value|)) for the mass identity
+# residual and the mass bound.
+NONNEG_TOL = 1e-12
+MASS_IDENTITY_TOL = 1e-12
+MASS_BOUND_REL_SLACK = 1e-12
 
 
 @dataclass
@@ -101,11 +102,7 @@ class InvariantReport:
             for k in range(len(self.times))))
 
 
-def monitor_invariants(
-    state: StateTrajectory,
-    params: ModelParams,
-    tolerances: InvariantTolerances = InvariantTolerances(),
-) -> InvariantReport:
+def monitor_invariants(state: StateTrajectory, params: ModelParams) -> InvariantReport:
     """Recompute every monitored quantity from a stored trajectory.
 
     Pure function of the trajectory and the model constants.  The mass
@@ -134,14 +131,11 @@ def monitor_invariants(
 
     residual = np.concatenate(([0.0], state.mass_identity_residual))
 
-    floor = -tolerances.nonneg_tol
-    nonneg_ok = bool(min_u.min() >= floor and min_v.min() >= floor)
-    slack = tolerances.mass_bound_rel_slack * max(1.0, abs(mass_bound_rhs))
+    nonneg_ok = bool(min_u.min() >= -NONNEG_TOL and min_v.min() >= -NONNEG_TOL)
+    slack = MASS_BOUND_REL_SLACK * max(1.0, abs(mass_bound_rhs))
     mass_bound_ok = bool(np.all(mass_u <= mass_bound_rhs + slack))
     scale = np.maximum(1.0, np.abs(mass_u))
-    mass_identity_ok = bool(
-        np.all(np.abs(residual) <= tolerances.mass_identity_tol * scale)
-    )
+    mass_identity_ok = bool(np.all(np.abs(residual) <= MASS_IDENTITY_TOL * scale))
 
     return InvariantReport(
         times=times,

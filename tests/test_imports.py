@@ -1,7 +1,9 @@
-"""No unused imports: an AST scan of the package and its tests.
+"""No unused imports and no dead private helpers: AST scans of the code.
 
-A name counts as used if it is read anywhere in the code, appears in a
-string annotation, or is listed in ``__all__``.
+An import counts as used if it is read anywhere in the code, appears in a
+string annotation, or is listed in ``__all__``.  A module-level private name
+of the package (``_helper``, ``_Class``, ``_CONSTANT``) must be read in its
+own module.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/kscontrol/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/kscontrol/*.py"))
+FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +54,38 @@ def test_scan_sees_every_kind_of_use():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+def test_private_scan_sees_definitions_and_reads():
+    source = (
+        "_A = 1\n_B: int = 2\n__all__ = []\nPUBLIC = 3\n"
+        "def _f():\n    return _A\n"
+        "def _g():\n    _C = 4\n    return _C\n"
+        "class _K:\n    pass\n"
+        "def h(x=_K):\n    return _f()\n"
+    )
+    assert unread_private_names(source) == ["line 2: _B", "line 7: _g"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []

@@ -340,9 +340,23 @@ SHRINKING = ["--set", "grid.nx=6", "--set", "grid.ny=6", "--set", "time.nt=2",
     ("optimize", ["optimizer.max_iters=-3"], "optimizer.max_iters"),
     ("optimize", ["optimizer.armijo_max_backtracks=-2"], "optimizer.armijo_max_backtracks"),
     ("simulate", ["grid.nx=1000000000000"], "grid.nx"),
+    ("simulate", ["domain.Ly=inf"], "domain.Ly"),
+    ("simulate", ["grid.ny=1"], "grid.ny"),
+    ("simulate", ["model.mu=inf"], "model.mu"),
+    ("simulate", ["model.p_exponent=nan"], "model.p_exponent"),
+    ("simulate", ["forward.picard_tol=inf"], "forward.picard_tol"),
+    ("simulate", ["forward.cg_tol=nan"], "forward.cg_tol"),
+    ("simulate", ["forward.scheme=quick"], "forward.scheme"),
+    ("optimize", ["cost.gamma_f=-1"], "cost.gamma_f"),
+    ("optimize", ["optimizer.vi_tol=inf"], "optimizer.vi_tol"),
+    ("optimize", ["optimizer.armijo_c1=0"], "optimizer.armijo_c1"),
+    ("optimize", ["optimizer.armijo_s0=nan"], "optimizer.armijo_s0"),
+    ("simulate", ["control.kind=box", "control.f_max=inf"], "control.f_max"),
 ], ids=["u0-inf", "control-nan", "v0-nan-snapshot", "T-inf", "shrink-zero", "shrink-nan",
         "kappa-inf", "r-nan", "gamma-v-nan", "picard-zero", "max-iters-negative",
-        "backtracks-negative", "nx-beyond-u32"])
+        "backtracks-negative", "nx-beyond-u32", "Ly-inf", "ny-one", "mu-inf", "p-nan",
+        "picard-tol-inf", "cg-tol-nan", "scheme-unknown", "gamma-f-negative", "vi-tol-inf",
+        "c1-zero", "s0-nan", "box-f-max-inf"])
 def test_cli_bad_value_exits_one_naming_the_key(base_cfg, tmp_path, capsys,
                                                 command, overrides, key):
     nan_ksf = tmp_path / "nan.ksf"
@@ -363,14 +377,24 @@ def test_cli_bad_value_exits_one_naming_the_key(base_cfg, tmp_path, capsys,
     ("grad-check", "--eps", "inf"),
     ("grad-check", "--eps", "nan"),
     ("grad-check", "--eps", "0"),
+    ("optimize", "--seed", "-1"),
+    ("grad-check", "--seed", "-1"),
+    ("grad-check", "--tol", "nan"),
+    ("grad-check", "--tol", "-1"),
+    ("mms", "--order-tol", "nan"),
+    ("mms", "--levels", "1"),
+    ("simulate", "--snapshot-every", "-1"),
+    ("optimize", "--starts", "0"),
+    ("grad-check", "--directions", "0"),
 ])
 def test_cli_bad_float_flag_exits_one(base_cfg, tmp_path, capsys, command, flag, value):
-    # the flag is checked before any march, so nothing is written
+    # the flag is checked where it is declared, before any march, so
+    # nothing is written
     out = tmp_path / "out"
-    extra = ["--starts", "2"] if command == "optimize" else ["--directions", "1"]
+    extra = {"optimize": ["--starts", "2"], "grad-check": ["--directions", "1"]}.get(command, [])
     assert run([command, "--config", base_cfg, "--output", str(out), *extra, flag, value]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {flag} must be ")
+    assert len(err) == 1 and err[0].startswith(f"error: argument {flag}: must be ")
     assert not out.exists()
 
 

@@ -25,7 +25,6 @@ from kscontrol.mesh import (
 )
 from kscontrol.optimize import ControlProblem
 from kscontrol.verify import (
-    InvariantTolerances,
     analytic_references,
     fd_gradient,
     heat_mode_decay_rate,
@@ -115,11 +114,11 @@ def test_monitor_flags_central_scheme_undershoot():
     assert rep_u.min_u.min() >= -1e-12
 
 
-def test_monitor_respects_custom_tolerances():
+def test_monitor_fails_a_mass_identity_residual_above_round_off():
     state, params = _logistic_run()
-    strict = monitor_invariants(state, params,
-                                InvariantTolerances(mass_identity_tol=1e-20))
-    assert not strict.mass_identity_ok
+    assert monitor_invariants(state, params).mass_identity_ok
+    state.mass_identity_residual[3] += 1e-9
+    assert not monitor_invariants(state, params).mass_identity_ok
 
 
 def test_invariant_report_csv_format():
