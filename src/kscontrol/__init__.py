@@ -70,11 +70,8 @@ from .optimize import (
 from .verify import (
     ConvergenceTable,
     InvariantReport,
-    ReferenceResult,
-    analytic_references,
     duality_gap,
     fd_gradient,
-    heat_mode_decay_rate,
     logistic_closed_form,
     mms_convergence,
     monitor_invariants,
@@ -109,14 +106,12 @@ __all__ = [
     "OptimizeReport",
     "PicardDivergenceError",
     "PicardSettings",
-    "ReferenceResult",
     "RegionMask",
     "SnapshotFormatError",
     "StateTrajectory",
     "StepConditioningError",
     "TimeGrid",
     "TrackingTargets",
-    "analytic_references",
     "constant_field",
     "control_cost",
     "cost_of_control",
@@ -125,7 +120,6 @@ __all__ = [
     "fd_gradient",
     "field_from_function",
     "gradient_of_control",
-    "heat_mode_decay_rate",
     "kkt_report",
     "logistic_closed_form",
     "mms_convergence",

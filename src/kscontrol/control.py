@@ -39,14 +39,12 @@ class ControlField:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.region.count < 1:
-            raise ValueError("control region must contain at least one cell")
+        require(self.region.count >= 1, "region", "control region must contain at least one cell")
         self.values = np.asarray(self.values, dtype=float)
         expected = (self.time_grid.nt, self.region.count)
-        if self.values.shape != expected:
-            raise ValueError(f"control values shape {self.values.shape}, expected {expected}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("control contains non-finite values")
+        require(self.values.shape == expected, "values",
+                f"control values shape {self.values.shape}, expected {expected}")
+        require(np.all(np.isfinite(self.values)), "values", "control contains non-finite values")
 
     @classmethod
     def zeros(cls, time_grid: "TimeGrid", region: RegionMask) -> "ControlField":
@@ -188,20 +186,13 @@ def reduced_gradient(
     return ControlField(f.time_grid, f.region, vals)
 
 
-def vi_residual(
-    f: ControlField,
-    d: ControlField,
-    admissible: AdmissibleSet,
-    step: float = 1.0,
-) -> float:
-    """Projected-gradient fixed-point residual ``||f - P(f - step * d)||``.
+def vi_residual(f: ControlField, d: ControlField, admissible: AdmissibleSet) -> float:
+    """Projected-gradient fixed-point residual ``||f - P(f - d)||``.
 
     Measured in the discrete L2 norm over the control cylinder; zero exactly
     at points satisfying the first-order optimality condition.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     if not f.layout_matches(d):
         raise GridMismatchError("control and gradient layouts differ")
-    trial = np.clip(f.values - step * d.values, admissible.f_min, admissible.f_max)
+    trial = np.clip(f.values - d.values, admissible.f_min, admissible.f_max)
     return qc_norm(f.values - trial, f)

@@ -22,7 +22,8 @@ magic ``KSF1``, format version 1, ``nx``, ``ny`` and the time stamp, then
 Exit codes
 ----------
 0   success
-1   usage or configuration problem (including malformed snapshots)
+1   usage or configuration problem (including malformed snapshots and a
+    problem too large for memory)
 2   solver failure (linear solve, fixed-point stall, lost definiteness)
 3   a verification check ran and failed beyond tolerance
 """
@@ -504,8 +505,12 @@ def _cmd_optimize(args) -> int:
             values = rng.uniform(problem.admissible.f_min, problem.admissible.f_max,
                                  size=base.values.shape)
         else:
-            values = base.values + args.start_scale * rng.standard_normal(base.values.shape)
-        starts.append(ControlField(problem.time_grid, problem.region, values))
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                values = base.values + args.start_scale * rng.standard_normal(base.values.shape)
+        try:
+            starts.append(ControlField(problem.time_grid, problem.region, values))
+        except InvalidValue as err:
+            raise _UsageError(f"argument --start-scale: {err}") from None
 
     out = _out_dir(args, cfg)
     best = None
@@ -706,6 +711,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (_UsageError, ConfigError, SnapshotFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: the problem does not fit in memory", file=sys.stderr)
         return 1
     except (LinearSolverError, PicardDivergenceError, StepConditioningError) as err:
         print(f"solver error: {err}", file=sys.stderr)

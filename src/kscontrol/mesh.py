@@ -121,10 +121,6 @@ class RegionMask:
     def count(self) -> int:
         return int(self.inside.sum())
 
-    @property
-    def area(self) -> float:
-        return self.count * self.grid.cell_area
-
 
 def check_same_grid(*objs) -> GridSpec:
     grid = objs[0].grid

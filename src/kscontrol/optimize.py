@@ -212,7 +212,7 @@ def kkt_report(
     p: float,
 ) -> KKTReport:
     d = reduced_gradient(f, state, adjoint, weights.gamma_f, p)
-    res = vi_residual(f, d, admissible, step=1.0)
+    res = vi_residual(f, d, admissible)
     dv = d.values
     return KKTReport(
         vi_residual=res,
@@ -250,7 +250,7 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
 
     for iteration in range(opts.max_iters + 1):
         d = gradient_of_control(problem, f, state)
-        res = vi_residual(f, d, problem.admissible, step=1.0)
+        res = vi_residual(f, d, problem.admissible)
         records.append(IterateRecord(iteration, cost, res, step_taken, backtracks_taken))
         if res <= opts.vi_tol:
             converged = True

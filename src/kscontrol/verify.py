@@ -9,11 +9,11 @@ Three kinds of evidence are produced here.
   signal) is reported but never asserted - the continuous theory bounds
   it by a constant no discrete statement pins down.
 
-* Independent oracles (`analytic_references`, `fd_gradient`,
-  `duality_gap`): closed-form solutions the solver must reproduce, central
-  finite differences of the actual discrete cost against the assembled
-  gradient, and the exact transpose identity between the dual sweep and the
-  linearized state solve.
+* Independent oracles (`logistic_closed_form`, `fd_gradient`,
+  `duality_gap`): the closed-form logistic ODE solution the spatially
+  constant state must reproduce, central finite differences of the actual
+  discrete cost against the assembled gradient, and the exact transpose
+  identity between the dual sweep and the linearized state solve.
 
 * Manufactured-solution convergence (`mms_convergence`): a smooth exact
   pair with hand-derived source terms drives the full coupled solver; the
@@ -41,7 +41,7 @@ from .forward import (
     trapezoid_sq_l2,
 )
 from .linalg import DEFAULT_CG_TOL
-from .mesh import Field2D, GridSpec, RegionMask, Scheme, field_from_function
+from .mesh import Field2D, GridSpec, RegionMask, Scheme
 from .optimize import ControlProblem, cost_of_control
 
 
@@ -243,7 +243,7 @@ def duality_gap(
 
 
 # ---------------------------------------------------------------------------
-# analytic reference suite
+# closed form
 # ---------------------------------------------------------------------------
 
 
@@ -258,82 +258,8 @@ def logistic_closed_form(c0: float, r: float, mu: float) -> Callable[[float], fl
     return u
 
 
-def heat_mode_decay_rate(Lx: float) -> float:
-    """Continuous decay rate of the first signal cosine mode: ``1 + (pi/Lx)^2``."""
-    return 1.0 + (math.pi / Lx) ** 2
-
-
-@dataclass
-class ReferenceResult:
-    name: str
-    observed: float
-    expected: float
-    tolerance: float
-
-    @property
-    def error(self) -> float:
-        return abs(self.observed - self.expected)
-
-    @property
-    def passed(self) -> bool:
-        return self.error <= self.tolerance
-
-
 def _zero_control(grid: GridSpec, time_grid: TimeGrid) -> ControlField:
     return ControlField.zeros(time_grid, RegionMask.everywhere(grid))
-
-
-def analytic_references() -> list[Callable[[], ReferenceResult]]:
-    """Closed-form reference cases the solver must reproduce.
-
-    Each entry is a zero-argument callable returning a `ReferenceResult`;
-    the expected values come from pencil-and-paper solutions, not from the
-    solver.
-    """
-
-    def logistic_case() -> ReferenceResult:
-        grid = GridSpec(1.0, 1.0, 4, 4)
-        time_grid = TimeGrid(T=2.0, nt=200)
-        params = ModelParams(kappa=0.0, r=1.0, mu=2.0)
-        u0 = mesh.constant_field(grid, 0.1)
-        v0 = mesh.constant_field(grid, 0.0)
-        state = solve_forward(u0, v0, _zero_control(grid, time_grid), params,
-                              time_grid, PicardSettings(tol=1e-12, max_iters=80))
-        observed = float(state.u[-1, 0, 0])
-        expected = logistic_closed_form(0.1, 1.0, 2.0)(2.0)
-        return ReferenceResult("logistic-growth", observed, expected, 5e-3)
-
-    def heat_mode_case() -> ReferenceResult:
-        grid = GridSpec(1.0, 1.0, 64, 64)
-        time_grid = TimeGrid(T=0.2, nt=200)
-        params = ModelParams(kappa=1.0, r=1.0, mu=2.0)
-        u0 = mesh.constant_field(grid, 0.0)
-        v0 = field_from_function(grid, lambda x, y: 1.0 + np.cos(np.pi * x))
-        # v >= 0 required at t = 0; track the mode against the shifted
-        # steady state exp(-t) * 1, so use the norm of (v - exp(-t)).
-        state = solve_forward(u0, v0, _zero_control(grid, time_grid), params, time_grid)
-        t_end = time_grid.T
-        shift = math.exp(-t_end)
-        amp0 = mesh.l2_norm_array(v0.values - 1.0, grid.cell_area)
-        amp1 = mesh.l2_norm_array(state.v[-1] - shift, grid.cell_area)
-        observed = -math.log(amp1 / amp0) / t_end
-        expected = heat_mode_decay_rate(1.0)
-        return ReferenceResult("signal-mode-decay", observed, expected,
-                               0.01 * expected)
-
-    def zero_case() -> ReferenceResult:
-        grid = GridSpec(1.0, 1.0, 8, 8)
-        time_grid = TimeGrid(T=0.5, nt=20)
-        params = ModelParams(kappa=1.0, r=1.0, mu=2.0)
-        region = RegionMask.rectangle(grid, 0.25, 0.25, 0.75, 0.75)
-        f = ControlField.from_constant(time_grid, region, 1.5)
-        state = solve_forward(mesh.constant_field(grid, 0.0),
-                              mesh.constant_field(grid, 0.0),
-                              f, params, time_grid)
-        observed = max(float(np.abs(state.u).max()), float(np.abs(state.v).max()))
-        return ReferenceResult("zero-data", observed, 0.0, 0.0)
-
-    return [logistic_case, heat_mode_case, zero_case]
 
 
 # ---------------------------------------------------------------------------

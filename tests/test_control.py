@@ -102,7 +102,7 @@ def test_control_cost_of_unit_control_is_measure_over_p():
     # picking gamma_f = p turns it into the plain space-time measure
     p = 2.1
     f = ControlField.from_constant(TG, REGION, 1.0)
-    expected = REGION.area * TG.T
+    expected = REGION.count * REGION.grid.cell_area * TG.T
     np.testing.assert_allclose(control_cost(f, p, p), expected, rtol=1e-13)
 
 
@@ -216,17 +216,16 @@ def test_project_is_non_expansive():
 def test_vi_residual_zero_gradient():
     f = ControlField.from_constant(TG, REGION, 0.3)
     d = ControlField(TG, REGION, np.zeros((TG.nt, REGION.count)))
-    assert vi_residual(f, d, AdmissibleSet(), step=1.0) == 0.0
+    assert vi_residual(f, d, AdmissibleSet()) == 0.0
 
 
 def test_vi_residual_unconstrained_is_step_times_gradient_norm():
     rng = np.random.default_rng(66)
     f = _random_control(rng)
     d = ControlField(TG, REGION, rng.standard_normal(f.values.shape))
-    step = 0.7
     np.testing.assert_allclose(
-        vi_residual(f, d, AdmissibleSet(), step=step),
-        step * qc_norm(d.values, f),
+        vi_residual(f, d, AdmissibleSet()),
+        qc_norm(d.values, f),
         rtol=1e-13,
     )
 
@@ -237,14 +236,12 @@ def test_vi_residual_vanishes_on_saturated_bound():
     box = AdmissibleSet("box", -1.0, 1.0)
     f = ControlField.from_constant(TG, REGION, 1.0)
     d = ControlField(TG, REGION, -0.4 * np.ones((TG.nt, REGION.count)))
-    assert vi_residual(f, d, box, step=1.0) == 0.0
+    assert vi_residual(f, d, box) == 0.0
 
 
 def test_vi_residual_validation():
     f = ControlField.zeros(TG, REGION)
     d = ControlField(TG, REGION, np.zeros((TG.nt, REGION.count)))
-    with pytest.raises(ValueError, match="step"):
-        vi_residual(f, d, AdmissibleSet(), step=0.0)
     other = ControlField(TimeGrid(T=1.0, nt=5), REGION,
                           np.zeros((5, REGION.count)))
     with pytest.raises(GridMismatchError):

@@ -240,6 +240,17 @@ def test_forward_zero_density_stays_zero_and_signal_relaxes():
     for n in range(tg.nt + 1):
         np.testing.assert_array_equal(state.u[n], np.zeros((8, 8)))
         np.testing.assert_allclose(state.v[n], (1.0 + tau) ** (-n), rtol=1e-12)
+    # zero data stay exactly zero under a nonzero control: f multiplies v
+    region = RegionMask.rectangle(GRID, 0.25, 0.25, 0.75, 0.75)
+    state = solve_forward(
+        constant_field(GRID, 0.0),
+        constant_field(GRID, 0.0),
+        ControlField.from_constant(tg, region, 1.5),
+        params,
+        tg,
+    )
+    np.testing.assert_array_equal(state.u, 0.0)
+    np.testing.assert_array_equal(state.v, 0.0)
 
 
 @pytest.mark.parametrize("scheme", ["central", "upwind"])

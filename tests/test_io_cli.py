@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kscontrol import io_cli
 from kscontrol.errors import ConfigError, SnapshotFormatError
 from kscontrol.io_cli import (
     DEFAULTS,
@@ -396,6 +397,27 @@ def test_cli_bad_float_flag_exits_one(base_cfg, tmp_path, capsys, command, flag,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: argument {flag}: must be ")
     assert not out.exists()
+
+
+def test_cli_start_scale_overflowing_an_extra_start_exits_one(base_cfg, tmp_path, capsys):
+    # a finite --start-scale can still overflow base + scale * normal;
+    # the overflow is found before any march, so nothing is written
+    out = tmp_path / "out"
+    assert run(["optimize", "--config", base_cfg, "--output", str(out),
+                "--starts", "2", "--start-scale", "1e308"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: argument --start-scale: ")
+    assert not out.exists()
+
+
+def test_cli_problem_too_large_for_memory_exits_one(base_cfg, tmp_path, capsys, monkeypatch):
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 2.4 PiB")
+
+    monkeypatch.setattr(io_cli, "build_setup", too_large)
+    assert run(["simulate", "--config", base_cfg, "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_cli_gamma_f_zero_on_an_unbounded_set_blocks_only_the_cost_commands(

@@ -25,9 +25,7 @@ from kscontrol.mesh import (
 )
 from kscontrol.optimize import ControlProblem
 from kscontrol.verify import (
-    analytic_references,
     fd_gradient,
-    heat_mode_decay_rate,
     logistic_closed_form,
     mms_convergence,
     monitor_invariants,
@@ -154,19 +152,6 @@ def test_logistic_closed_form_pure_decay():
     y = logistic_closed_form(0.5, 0.0, 3.0)
     for t in (0.1, 1.0, 10.0):
         np.testing.assert_allclose(y(t), 1.0 / (2.0 + 3.0 * t), rtol=1e-12)
-
-
-def test_heat_mode_decay_rate():
-    np.testing.assert_allclose(heat_mode_decay_rate(1.0), 1.0 + np.pi**2)
-    np.testing.assert_allclose(heat_mode_decay_rate(2.0), 1.0 + (np.pi / 2.0) ** 2)
-
-
-def test_analytic_reference_cases_all_pass():
-    results = [case() for case in analytic_references()]
-    names = [r.name for r in results]
-    assert len(set(names)) == len(names)
-    for r in results:
-        assert r.passed, f"{r.name}: observed {r.observed}, expected {r.expected}"
 
 
 # ----------------------------------------------------------------------
