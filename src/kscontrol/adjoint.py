@@ -61,6 +61,7 @@ from .forward import (
     StateTrajectory,
     TimeGrid,
     check_control_layout,
+    check_step_sources,
     coupled_fixed_point,
 )
 from .linalg import DEFAULT_CG_TOL
@@ -82,10 +83,18 @@ class AdjointTrajectory:
     eta: np.ndarray
 
 
-def check_eta_shift(f_vals: np.ndarray, tau: float) -> None:
-    """Raise `StepConditioningError` unless ``1/tau + 1 - f > 0`` for every
-    control value, the condition for the dual signal solve to be SPD."""
-    if 1.0 / tau + 1.0 - float(f_vals.max()) <= 0.0:
+def check_dual_definite(u: np.ndarray, f: np.ndarray, params: ModelParams, tau: float) -> None:
+    """Raise `StepConditioningError` unless the dual shifts ``1/tau + 2 mu u_+ - r``
+    and ``1/tau + 1 - f`` stay positive for all states ``u`` and controls ``f``.
+    Each is evaluated at ``u.min()`` or ``f.max()`` in the cellwise order; every
+    rounded operation is monotone, so this decides as the cellwise minimum would."""
+    if 1.0 / tau + 2.0 * params.mu * max(float(u.min()), 0.0) - params.r <= 0.0:
+        raise StepConditioningError(
+            f"dual density equation loses definiteness at tau = {tau:g}: "
+            "the reaction shift 1/tau - r + 2 mu u_+ must stay positive; "
+            "reduce the time step"
+        )
+    if 1.0 / tau + 1.0 - float(f.max()) <= 0.0:
         raise StepConditioningError(
             f"dual signal equation loses definiteness at tau = {tau:g}: "
             "1/tau + 1 - f must stay positive; reduce the time step or the control"
@@ -95,16 +104,9 @@ def check_eta_shift(f_vals: np.ndarray, tau: float) -> None:
 def _dual_coefficients(u_new: np.ndarray, f_now: np.ndarray, params: ModelParams, tau: float):
     """``u_+`` and the shifts ``1/tau + 2 mu u_+ - r`` and ``1/tau + 1 - f`` of
     one dual or linearized step, after checking both solves stay SPD."""
+    check_dual_definite(u_new, f_now, params, tau)
     upos = np.maximum(u_new, 0.0)
-    shift_u = 1.0 / tau + 2.0 * params.mu * upos - params.r
-    if float(shift_u.min()) <= 0.0:
-        raise StepConditioningError(
-            f"dual density equation loses definiteness at tau = {tau:g}: "
-            "the reaction shift 1/tau - r + 2 mu u_+ must stay positive; "
-            "reduce the time step"
-        )
-    check_eta_shift(f_now, tau)
-    return upos, shift_u, 1.0 / tau + 1.0 - f_now
+    return upos, 1.0 / tau + 2.0 * params.mu * upos - params.r, 1.0 / tau + 1.0 - f_now
 
 
 def step_adjoint(
@@ -194,6 +196,7 @@ def solve_adjoint(
     check_control_layout(control, grid, state.time_grid)
     nt = state.time_grid.nt
     tau = state.time_grid.tau
+    level_weights = state.time_grid.trapezoid_weights()
     lam = np.zeros((nt + 1, grid.nx, grid.ny))
     eta = np.zeros((nt + 1, grid.nx, grid.ny))
     u_d = np.broadcast_to(targets.u_d, state.u.shape)
@@ -204,7 +207,7 @@ def solve_adjoint(
             lam[m], eta[m] = step_adjoint(
                 grid, lam[m + 1], eta[m + 1], state.u[m + 1], state.v[m + 1],
                 control.array_at(m), u_d[m + 1], v_d[m + 1], params, weights, tau,
-                scheme, cg_tol, settings, 0.5 if m + 1 == nt else 1.0,
+                scheme, cg_tol, settings, level_weights[m + 1],
             )
         except PicardDivergenceError as err:
             err.time_index = m
@@ -237,11 +240,10 @@ def solve_linearized_dual(
     """
     grid = state.grid
     check_control_layout(control, grid, state.time_grid)
+    check_step_sources(grid, state.time_grid, source_u, source_v)
     nt = state.time_grid.nt
     tau = state.time_grid.tau
     shape = (nt, grid.nx, grid.ny)
-    if np.shape(source_u) != shape or np.shape(source_v) != shape:
-        raise ValueError(f"need one source per step: expected shape {shape}")
     inv_tau = 1.0 / tau
     hx, hy = grid.hx, grid.hy
 

@@ -46,8 +46,6 @@ from .errors import PicardDivergenceError, require
 from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, GridSpec, Scheme
 
-SourceFn = Callable[[float], Field2D]
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -84,6 +82,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
 
+    def trapezoid_weights(self) -> list[float]:
+        """Trapezoid weight of each level ``0 .. nt`` in units of ``tau``: 1/2 at
+        both ends, 1 inside.  Plain floats, so sums of them stay plain floats."""
+        return [0.5] + [1.0] * (self.nt - 1) + [0.5]
+
 
 @dataclass(frozen=True)
 class PicardSettings:
@@ -118,11 +121,10 @@ class StateTrajectory:
 def trapezoid_sq_l2(stack: np.ndarray, time_grid: TimeGrid, cell_area: float) -> float:
     """Squared space-time L2 norm of ``stack``, shape ``(nt + 1, nx, ny)``:
     cell-area quadrature in space, trapezoid rule over the levels in time."""
-    nt, tau = time_grid.nt, time_grid.tau
+    tau = time_grid.tau
     total = 0.0
     # one level at a time, in this order: the order fixes the last bits
-    for n, s in enumerate(np.sum(stack * stack, axis=(1, 2))):
-        w = 0.5 if n in (0, nt) else 1.0
+    for w, s in zip(time_grid.trapezoid_weights(), np.sum(stack * stack, axis=(1, 2))):
         total += w * tau * float(s) * cell_area
     return total
 
@@ -167,17 +169,18 @@ def coupled_fixed_point(
     increment = np.inf
     for k in range(1, settings.max_iters + 1):
         a_new, b_new = sweep(a_bar, b_bar)
-        increment = max(_rel_increment(a_new, a_bar, cell_area),
-                        _rel_increment(b_new, b_bar, cell_area))
-        if guard_blowup:
-            new_scale = max(mesh.l2_norm_array(a_new, cell_area),
-                            mesh.l2_norm_array(b_new, cell_area))
-            if not np.isfinite(new_scale) or new_scale > _BLOWUP_SCALE * start_scale:
-                raise PicardDivergenceError(
-                    f"{name} diverged at sweep {k} "
-                    f"(iterate scale grew by {new_scale / start_scale:.1e})",
-                    last_increment=float(increment),
-                )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a blow-up
+            increment = max(_rel_increment(a_new, a_bar, cell_area),
+                            _rel_increment(b_new, b_bar, cell_area))
+            if guard_blowup:
+                new_scale = max(mesh.l2_norm_array(a_new, cell_area),
+                                mesh.l2_norm_array(b_new, cell_area))
+                if not np.isfinite(new_scale) or new_scale > _BLOWUP_SCALE * start_scale:
+                    raise PicardDivergenceError(
+                        f"{name} diverged at sweep {k} "
+                        f"(iterate scale grew by {new_scale / start_scale:.1e})",
+                        last_increment=float(increment),
+                    )
         if increment < settings.tol:
             return (a_new, b_new), (a_bar, b_bar), k
         a_bar, b_bar = a_new, b_new
@@ -299,6 +302,14 @@ def check_control_layout(control: ControlField, grid: GridSpec, time_grid: TimeG
         raise ValueError("control time grid differs from solver time grid")
 
 
+def check_step_sources(grid: GridSpec, time_grid: TimeGrid, *sources) -> None:
+    """Raise `ValueError` unless each source holds one field per step, shape
+    ``(nt, nx, ny)``; entry ``n`` enters the step to level ``n + 1``."""
+    shape = (time_grid.nt, grid.nx, grid.ny)
+    if any(np.shape(s) != shape for s in sources):
+        raise ValueError(f"need one source per step: expected shape {shape}")
+
+
 def solve_forward(
     u0: Field2D,
     v0: Field2D,
@@ -308,8 +319,8 @@ def solve_forward(
     settings: PicardSettings = PicardSettings(),
     scheme: Scheme = "central",
     cg_tol: float = DEFAULT_CG_TOL,
-    source_u: Optional[SourceFn] = None,
-    source_v: Optional[SourceFn] = None,
+    source_u: Optional[np.ndarray] = None,
+    source_v: Optional[np.ndarray] = None,
 ) -> StateTrajectory:
     """March the coupled system from ``(u0, v0)`` to the final time.
 
@@ -322,9 +333,9 @@ def solve_forward(
     params, time_grid, settings, scheme, cg_tol
         Model constants, time partition, fixed-point settings, chemotaxis
         flux discretization, inner linear solver tolerance.
-    source_u, source_v : callable, optional
-        Extra right-hand sides evaluated at the implicit time level
-        (used by manufactured-solution studies).
+    source_u, source_v : ndarray, optional
+        Extra right-hand sides, shape ``(nt, nx, ny)``: entry ``n`` enters
+        the step to level ``n + 1`` (used by manufactured-solution studies).
 
     Returns
     -------
@@ -333,6 +344,7 @@ def solve_forward(
     """
     grid = mesh.check_same_grid(u0, v0)
     check_control_layout(control, grid, time_grid)
+    check_step_sources(grid, time_grid, *(s for s in (source_u, source_v) if s is not None))
     if float(u0.values.min()) < 0.0:
         raise ValueError("initial cell density u0 must be nonnegative")
     if float(v0.values.min()) < 0.0:
@@ -340,7 +352,6 @@ def solve_forward(
 
     nt = time_grid.nt
     tau = time_grid.tau
-    times = time_grid.times()
 
     u = np.empty((nt + 1, grid.nx, grid.ny))
     v = np.empty((nt + 1, grid.nx, grid.ny))
@@ -349,12 +360,11 @@ def solve_forward(
     mass_residual = np.zeros(nt)
 
     for n in range(nt):
-        src_u = source_u(times[n + 1]).values if source_u is not None else None
-        src_v = source_v(times[n + 1]).values if source_v is not None else None
         try:
             (u[n + 1], v[n + 1]), (picard_iters[n], mass_residual[n]) = picard_step(
                 grid, u[n], v[n], control.array_at(n), params, tau, settings, scheme,
-                cg_tol, src_u, src_v)
+                cg_tol, None if source_u is None else source_u[n],
+                None if source_v is None else source_v[n])
         except PicardDivergenceError as err:
             err.time_index = n
             raise

@@ -502,8 +502,8 @@ def _cmd_optimize(args) -> int:
     starts = [base]
     for _ in range(1, args.starts):
         if problem.admissible.bounded:
-            values = rng.uniform(problem.admissible.f_min, problem.admissible.f_max,
-                                 size=base.values.shape)
+            box = problem.admissible  # drawn at half scale: f_max - f_min may overflow
+            values = 2.0 * rng.uniform(box.f_min / 2, box.f_max / 2, size=base.values.shape)
         else:
             with np.errstate(over="ignore"):  # an overflow is reported below
                 values = base.values + args.start_scale * rng.standard_normal(base.values.shape)

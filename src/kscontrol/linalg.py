@@ -27,7 +27,6 @@ def solve_cg(
     rhs: np.ndarray,
     precond: Callable[[np.ndarray], np.ndarray],
     rtol: float = DEFAULT_CG_TOL,
-    max_iters: Optional[int] = None,
     x0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Solve ``A x = rhs`` for SPD ``A`` given by ``apply_op``.
@@ -43,8 +42,6 @@ def solve_cg(
         a new array.
     rtol : float
         Relative residual target ``||rhs - A x|| <= rtol * ||rhs||``.
-    max_iters : int, optional
-        Iteration cap; defaults to ``rhs.size + 100``.
     x0 : ndarray, optional
         Warm start.  Defaults to zero.
 
@@ -52,20 +49,19 @@ def solve_cg(
     ------
     LinearSolverError
         If ``rhs`` has an infinite or NaN entry, or the residual target is
-        not met within the iteration cap.
+        not met within ``rhs.size + 100`` iterations.
     """
-    b_norm = float(np.sqrt(np.sum(rhs * rhs)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the rescale path
+        b_norm = float(np.sqrt(np.sum(rhs * rhs)))
     if not np.isfinite(b_norm):
         scale = float(np.max(np.abs(rhs)))
         if not np.isfinite(scale):
             raise LinearSolverError("conjugate gradient: right-hand side norm is not finite", b_norm)
         # finite entries whose squares overflow: solve for rhs / max|rhs|
-        return scale * solve_cg(apply_op, rhs / scale, precond, rtol, max_iters,
+        return scale * solve_cg(apply_op, rhs / scale, precond, rtol,
                                 None if x0 is None else x0 / scale)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
-    if max_iters is None:
-        max_iters = rhs.size + 100
 
     if x0 is None:
         x = np.zeros_like(rhs)
@@ -82,7 +78,7 @@ def solve_cg(
     z = precond(r)
     p = z.copy()
     rz = float(np.sum(r * z))
-    for _ in range(max_iters):
+    for _ in range(rhs.size + 100):
         ap = apply_op(p)
         alpha = rz / float(np.sum(p * ap))
         x += alpha * p

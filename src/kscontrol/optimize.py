@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, check_eta_shift, solve_adjoint
+from .adjoint import AdjointTrajectory, check_dual_definite, solve_adjoint
 from .errors import LinearSolverError, PicardDivergenceError, StepConditioningError, require
 from .control import (
     AdmissibleSet,
@@ -133,8 +133,11 @@ class IterateRecord:
 class OptimizeReport:
     iterates: list[IterateRecord]
     final_control: ControlField
-    converged: bool
     reason: str  # one of: vi_tol, max_iters, line_search_failure
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "vi_tol"
 
     @property
     def final_cost(self) -> CostBreakdown:
@@ -229,10 +232,10 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     size and backtrack count per iteration) together with the final
     control.  The cost sequence is strictly decreasing: a step is accepted
     only with sufficient decrease proportional to the squared projected
-    step.  Trial controls the next dual sweep cannot take (``1/tau + 1 - f``
-    not positive) or the forward solver cannot march (its fixed point
-    diverges, or a linear solve fails) are rejected exactly like
-    insufficient-decrease trials.  If the line search exhausts its
+    step.  Trial controls the forward solver cannot march (its fixed point
+    diverges, or a linear solve fails) or whose march the next dual sweep
+    cannot take (`check_dual_definite` on levels ``1 .. nt``) are rejected
+    exactly like insufficient-decrease trials.  If the line search exhausts its
     backtracks the best iterate so far is returned with
     ``reason = "line_search_failure"``.  Only solving needs a minimizer to
     exist: `require_well_posed` raises `ValueError` before the first march.
@@ -245,7 +248,6 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     records: list[IterateRecord] = []
     step_taken = 0.0
     backtracks_taken = 0
-    converged = False
     reason = "max_iters"
 
     for iteration in range(opts.max_iters + 1):
@@ -253,43 +255,35 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
         res = vi_residual(f, d, problem.admissible)
         records.append(IterateRecord(iteration, cost, res, step_taken, backtracks_taken))
         if res <= opts.vi_tol:
-            converged = True
             reason = "vi_tol"
             break
         if iteration == opts.max_iters:
-            reason = "max_iters"
             break
 
         s = arm.s0
-        accepted = False
         for backtrack in range(arm.max_backtracks + 1):
             trial_vals = np.clip(f.values - s * d.values, problem.admissible.f_min,
                                  problem.admissible.f_max)
             f_trial = ControlField(f.time_grid, f.region, trial_vals)
             try:
-                check_eta_shift(trial_vals, problem.time_grid.tau)
                 state_trial, cost_trial = cost_of_control(problem, f_trial)
+                check_dual_definite(state_trial.u[1:], trial_vals, problem.params,
+                                    problem.time_grid.tau)
             except (StepConditioningError, PicardDivergenceError, LinearSolverError):
-                # a trial control the dual cannot take or the forward solver
-                # cannot march is just a step that was too long; shrink like
-                # any other rejection
+                # a trial control the forward solver cannot march, or whose
+                # march the dual cannot take, is just a step that was too
+                # long; shrink like any other rejection
                 s *= arm.shrink
                 continue
             decrease = arm.c1 / s * qc_norm(f.values - trial_vals, f) ** 2
             if cost_trial.j_total <= cost.j_total - decrease:
-                accepted = True
                 break
             s *= arm.shrink
-        if not accepted:
+        else:
             reason = "line_search_failure"
             break
         f, state, cost = f_trial, state_trial, cost_trial
         step_taken = s
         backtracks_taken = backtrack
 
-    return OptimizeReport(
-        iterates=records,
-        final_control=f,
-        converged=converged,
-        reason=reason,
-    )
+    return OptimizeReport(iterates=records, final_control=f, reason=reason)

@@ -219,8 +219,7 @@ def duality_gap(
     # Arbitrary dual sources enter through the tracking terms: the step-m
     # equations read the targets of level m+1 with trapezoid weight w, so
     # u_d^{m+1} = u^{m+1} - s^m / w injects exactly s^m (with unit gamma).
-    w = np.ones((nt, 1, 1))
-    w[-1] = 0.5
+    w = np.array(state.time_grid.trapezoid_weights()[1:])[:, None, None]
     targets = TrackingTargets(u_d=np.concatenate([state.u[:1], state.u[1:] - s_lam / w]),
                               v_d=np.concatenate([state.v[:1], state.v[1:] - s_eta / w]))
     weights = CostWeights(gamma_u=1.0, gamma_v=1.0, gamma_f=0.0)
@@ -341,12 +340,9 @@ def _mms_run_error(nx: int, nt: int, T: float, scheme: Scheme) -> tuple[float, f
     X, Y = grid.cell_centers()
     u0 = Field2D(grid, _mms_exact_u(X, Y, 0.0))
     v0 = Field2D(grid, _mms_exact_v(X, Y, 0.0))
-
-    def src_u(t: float) -> Field2D:
-        return Field2D(grid, _mms_source_u(X, Y, t))
-
-    def src_v(t: float) -> Field2D:
-        return Field2D(grid, _mms_source_v(X, Y, t))
+    # the source of each step, at its implicit level
+    src_u = np.stack([_mms_source_u(X, Y, t) for t in time_grid.times()[1:]])
+    src_v = np.stack([_mms_source_v(X, Y, t) for t in time_grid.times()[1:]])
 
     state = solve_forward(
         u0, v0, _zero_control(grid, time_grid), params, time_grid,

@@ -291,6 +291,8 @@ def test_linearized_dual_requires_one_source_per_step():
     params, tg, f, state = _forward_fixture(nt=3)
     with pytest.raises(ValueError, match="per step"):
         solve_linearized_dual(state, f, params, np.zeros((2, 8, 8)), np.zeros((3, 8, 8)))
+    with pytest.raises(ValueError, match="per step"):
+        solve_linearized_dual(state, f, params, None, np.zeros((3, 8, 8)))
 
 
 def test_trajectory_distance_of_identical_runs_is_zero():

@@ -176,6 +176,14 @@ def test_picard_raises_after_iteration_cap():
     assert exc.value.last_increment > 0.0
 
 
+def test_picard_blowup_guard_stops_an_amplifying_step():
+    # with tau = 1 the lagged term f v_+ multiplies v by about f / 2 = 50 per
+    # sweep, so the iterates outgrow their start by 1e8 at sweep 5
+    params = ModelParams(kappa=1.0, r=1.0, mu=1.0)
+    with pytest.raises(PicardDivergenceError, match="diverged at sweep 5"):
+        picard_step(GRID, _const(0.5), _const(0.5), _const(100.0), params, tau=1.0)
+
+
 def test_manual_forward_composition_matches_solver():
     # stepping by hand level by level reproduces the solver bitwise,
     # trajectory and diagnostics, so the march is nothing more than the
@@ -287,12 +295,11 @@ def test_forward_linear_in_time_manufactured_solution_is_exact():
     def v_star(t):
         return c + d * t
 
-    def src_u(t):
-        val = b - params.r * u_star(t) + params.mu * u_star(t) ** 2
-        return constant_field(GRID, val)
-
-    def src_v(t):
-        return constant_field(GRID, d + v_star(t) - u_star(t))
+    # one source per step, taken at the step's implicit level
+    t_new = tg.times()[1:, None, None]
+    src_u = np.broadcast_to(b - params.r * u_star(t_new) + params.mu * u_star(t_new) ** 2,
+                            (tg.nt, GRID.nx, GRID.ny))
+    src_v = np.broadcast_to(d + v_star(t_new) - u_star(t_new), (tg.nt, GRID.nx, GRID.ny))
 
     state = solve_forward(
         constant_field(GRID, u_star(0.0)),
@@ -337,6 +344,17 @@ def test_forward_rejects_negative_initial_data():
         solve_forward(neg, ok, _zero_control(tg), params, tg)
     with pytest.raises(ValueError, match="v0"):
         solve_forward(ok, neg, _zero_control(tg), params, tg)
+
+
+def test_forward_requires_one_source_per_step():
+    params = ModelParams(kappa=1.0, r=1.0, mu=1.0)
+    tg = TimeGrid(T=0.1, nt=2)
+    ok = constant_field(GRID, 0.5)
+    per_level = np.zeros((tg.nt + 1, GRID.nx, GRID.ny))
+    with pytest.raises(ValueError, match="per step"):
+        solve_forward(ok, ok, _zero_control(tg), params, tg, source_u=per_level)
+    with pytest.raises(ValueError, match="per step"):
+        solve_forward(ok, ok, _zero_control(tg), params, tg, source_v=per_level[0])
 
 
 def test_forward_rejects_mismatched_control():

@@ -410,6 +410,29 @@ def test_cli_start_scale_overflowing_an_extra_start_exits_one(base_cfg, tmp_path
     assert not out.exists()
 
 
+SIX_CFG = ("grid.nx = 6\ngrid.ny = 6\ntime.T = 0.2\ntime.nt = 3\n"
+           "control.region.x0 = 0.25\ncontrol.region.y0 = 0.25\n"
+           "control.region.x1 = 0.75\ncontrol.region.y1 = 0.75\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["simulate", "--set", "control.initial=constant:1e300"],
+    ["optimize", "--starts", "2", "--set", "control.kind=box",
+     "--set", "control.f_min=-1.7e308", "--set", "control.f_max=1.7e308"],
+], ids=["simulate-1e300", "optimize-box-1.7e308"])
+def test_cli_overflowing_march_is_one_solver_error(command, tmp_path, capsys):
+    # a control near the largest float overflows the first sweep; the solver
+    # reports it once, without warnings, and an extra start drawn from the
+    # widest box is such a control
+    cfg = tmp_path / "six.cfg"
+    cfg.write_text(SIX_CFG)
+    assert run([command[0], "--config", str(cfg), "--output", str(tmp_path / "out"),
+                *command[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver error: ")
+
+
 def test_cli_problem_too_large_for_memory_exits_one(base_cfg, tmp_path, capsys, monkeypatch):
     def too_large(cfg):
         raise MemoryError("Unable to allocate 2.4 PiB")
@@ -596,6 +619,23 @@ def test_cli_invariants_upwind_logistic_passes(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+def test_cli_invariants_exits_three_when_a_guaranteed_check_fails(
+        base_cfg, tmp_path, capsys, monkeypatch):
+    monitor = io_cli.verify.monitor_invariants
+
+    def broken_identity(state, params):
+        report = monitor(state, params)
+        report.mass_identity_ok = False
+        return report
+
+    monkeypatch.setattr(io_cli.verify, "monitor_invariants", broken_identity)
+    rc = run(["invariants", "--config", base_cfg, "--output", str(tmp_path / "inv")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "check mass_identity: FAIL" in captured.out
+    assert captured.err.splitlines() == ["verification failed: mass_identity"]
 
 
 def test_cli_mms_passes_and_fails_by_tolerance(tmp_path, capsys):

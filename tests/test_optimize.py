@@ -191,6 +191,37 @@ def test_trial_the_dual_cannot_take_is_a_rejected_step(s0):
     assert report.final_control.values.max() < 1.0 / tg.tau + 1.0
 
 
+def test_trial_whose_march_the_dual_cannot_take_is_a_rejected_step():
+    # with tau = 1 and r = 2 the dual density shift 1/tau + 2 mu u_+ - r is
+    # positive only while u > 1/2; the march from u0 = 0.6 under the initial
+    # f = 0 keeps it there, but a long first step to the box bound does not.
+    # That trial marches fine, so only a check on its march can reject it
+    # before the next gradient needs the dual.
+    grid = GridSpec(Lx=1.0, Ly=1.0, nx=8, ny=8)
+    tg = TimeGrid(T=1.0, nt=1)
+    region = RegionMask.rectangle(grid, 0.0, 0.0, 0.45, 0.45)
+    params = ModelParams(kappa=5.0, r=2.0, mu=1.0)
+    u0, v0 = constant_field(grid, 0.6), constant_field(grid, 1.0)
+    picard = PicardSettings(max_iters=200)
+    star = cost_of_control(ControlProblem(
+        u0=u0, v0=v0, targets=TrackingTargets(u0, v0), params=params,
+        weights=CostWeights(), admissible=AdmissibleSet(), region=region, time_grid=tg,
+        scheme="upwind", picard=picard), ControlField.from_constant(tg, region, 1.9))[0]
+    problem = ControlProblem(
+        u0=u0, v0=v0, targets=TrackingTargets(star.u, star.v), params=params,
+        weights=CostWeights(1.0, 1.0, 1e-4), admissible=AdmissibleSet("box", -1.9, 1.9),
+        region=region, time_grid=tg, scheme="upwind", picard=picard,
+    )
+    # the first trial reaches the bound, where the shift margin is -0.04;
+    # three iterations step past it (a run to line-search failure takes 500 marches)
+    report = solve(problem, OptimizeOptions(max_iters=3, armijo=ArmijoSettings(s0=1e4)))
+    costs = [rec.cost.j_total for rec in report.iterates]
+    assert len(costs) == 4
+    assert all(b < a for a, b in zip(costs, costs[1:]))
+    state, _ = cost_of_control(problem, report.final_control)
+    gradient_of_control(problem, report.final_control, state)
+
+
 def test_solve_hits_iteration_cap():
     problem = _tracking_problem()
     report = solve(problem, OptimizeOptions(max_iters=2, vi_tol=1e-14))

@@ -10,7 +10,7 @@ Runs the R1 configuration of ``tests/test_acceptance.py`` through
     adjoint     along the simulate snapshots
     optimize    --seed 11 with 1 and 3 starts, unconstrained and as a box
     grad-check
-    mms         --levels 2
+    mms         --levels 2, spatial and temporal
 
 Each command runs in ``OUTDIR/<name>/`` with relative paths, so nothing in
 its output names OUTDIR.  Its files land in ``files/`` and its stdout,
@@ -52,6 +52,7 @@ COMMANDS = {
                        *BOX],
     "grad-check": ["grad-check", "--config", "../run.cfg"],
     "mms": ["mms", "--levels", "2"],
+    "mms-temporal": ["mms", "--study", "temporal", "--levels", "2"],
 }
 
 
