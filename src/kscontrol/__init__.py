@@ -24,7 +24,7 @@ from .control import (
     require_well_posed,
     vi_residual,
 )
-from .adjoint import AdjointTrajectory, solve_adjoint, solve_linearized_dual, step_adjoint
+from .adjoint import AdjointTrajectory, solve_adjoint, solve_linearized_dual
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -40,7 +40,6 @@ from .forward import (
     PicardSettings,
     StateTrajectory,
     TimeGrid,
-    picard_step,
     solve_forward,
     step_u,
     step_v,
@@ -124,7 +123,6 @@ __all__ = [
     "logistic_closed_form",
     "mms_convergence",
     "monitor_invariants",
-    "picard_step",
     "project",
     "qc_norm",
     "read_snapshot",
@@ -136,7 +134,6 @@ __all__ = [
     "solve_cg",
     "solve_forward",
     "solve_linearized_dual",
-    "step_adjoint",
     "step_u",
     "step_v",
     "trajectory_l2_distance",

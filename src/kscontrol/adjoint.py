@@ -109,66 +109,6 @@ def _dual_coefficients(u_new: np.ndarray, f_now: np.ndarray, params: ModelParams
     return upos, 1.0 / tau + 2.0 * params.mu * upos - params.r, 1.0 / tau + 1.0 - f_now
 
 
-def step_adjoint(
-    grid: GridSpec, lambda_next: np.ndarray, eta_next: np.ndarray, u_new: np.ndarray,
-    v_new: np.ndarray, f_now: np.ndarray, u_d: np.ndarray, v_d: np.ndarray,
-    params: ModelParams, weights: CostWeights, tau: float, scheme: Scheme = "central",
-    cg_tol: float = DEFAULT_CG_TOL, settings: PicardSettings = PicardSettings(),
-    tracking_weight: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One backward step ``m+1 -> m`` of the coupled dual system.
-
-    Parameters
-    ----------
-    lambda_next, eta_next : ndarray
-        Multipliers of the following step (zero at the terminal level).
-    u_new, v_new : ndarray
-        The forward pair ``(u^{m+1}, v^{m+1})`` this step linearizes around.
-    f_now : ndarray
-        Control of step ``m`` scattered onto the grid.
-    u_d, v_d : ndarray
-        Tracking targets at level ``m+1``.
-    tracking_weight : float
-        Trapezoid weight of level ``m+1`` (1/2 at the final level).
-
-    All arrays have shape ``(nx, ny)`` on ``grid``.  The per-level fixed
-    point lags the convection term and the cross-coupling by one inner
-    sweep; each sweep is two SPD solves.
-    """
-    hx, hy = grid.hx, grid.hy
-    inv_tau = 1.0 / tau
-
-    upos, shift_lam, shift_eta = _dual_coefficients(u_new, f_now, params, tau)
-
-    rhs_lam_base = lambda_next * inv_tau
-    if weights.gamma_u != 0.0:
-        rhs_lam_base = rhs_lam_base + tracking_weight * weights.gamma_u * (u_new - u_d)
-    rhs_eta_base = eta_next * inv_tau
-    if weights.gamma_v != 0.0:
-        rhs_eta_base = rhs_eta_base + tracking_weight * weights.gamma_v * (v_new - v_d)
-
-    def sweep(lam_bar: np.ndarray, eta_bar: np.ndarray):
-        rhs_eta = rhs_eta_base
-        if params.kappa != 0.0:
-            rhs_eta = rhs_eta - params.kappa * mesh.weighted_diffusion_arrays(
-                upos, lam_bar, v_new, hx, hy, scheme
-            )
-        eta_now = linalg.solve_shifted(grid, shift_eta, rhs_eta, rtol=cg_tol, x0=eta_bar)
-
-        rhs_lam = rhs_lam_base + eta_now
-        if params.kappa != 0.0:
-            rhs_lam = rhs_lam - params.kappa * mesh.chemotaxis_adjoint_arrays(
-                lam_bar, v_new, hx, hy, scheme
-            )
-        lam_now = linalg.solve_shifted(grid, shift_lam, rhs_lam, rtol=cg_tol, x0=lam_bar)
-        return lam_now, eta_now
-
-    (lam, eta), _, _ = coupled_fixed_point(
-        sweep, (lambda_next, eta_next), settings, grid.cell_area, "dual fixed point",
-    )
-    return lam, eta
-
-
 def solve_adjoint(
     state: StateTrajectory,
     control: ControlField,
@@ -196,6 +136,8 @@ def solve_adjoint(
     check_control_layout(control, grid, state.time_grid)
     nt = state.time_grid.nt
     tau = state.time_grid.tau
+    inv_tau = 1.0 / tau
+    hx, hy = grid.hx, grid.hy
     level_weights = state.time_grid.trapezoid_weights()
     lam = np.zeros((nt + 1, grid.nx, grid.ny))
     eta = np.zeros((nt + 1, grid.nx, grid.ny))
@@ -203,11 +145,35 @@ def solve_adjoint(
     v_d = np.broadcast_to(targets.v_d, state.v.shape)
 
     for m in range(nt - 1, -1, -1):
+        # coefficients frozen at level m+1, tracking sources with its weight
+        u_new, v_new, w = state.u[m + 1], state.v[m + 1], level_weights[m + 1]
+        upos, shift_lam, shift_eta = _dual_coefficients(u_new, control.array_at(m), params, tau)
+        rhs_lam_base = lam[m + 1] * inv_tau
+        if weights.gamma_u != 0.0:
+            rhs_lam_base = rhs_lam_base + w * weights.gamma_u * (u_new - u_d[m + 1])
+        rhs_eta_base = eta[m + 1] * inv_tau
+        if weights.gamma_v != 0.0:
+            rhs_eta_base = rhs_eta_base + w * weights.gamma_v * (v_new - v_d[m + 1])
+
+        def sweep(lam_bar: np.ndarray, eta_bar: np.ndarray):
+            rhs_eta = rhs_eta_base
+            if params.kappa != 0.0:
+                rhs_eta = rhs_eta - params.kappa * mesh.weighted_diffusion_arrays(
+                    upos, lam_bar, v_new, hx, hy, scheme
+                )
+            eta_now = linalg.solve_shifted(grid, shift_eta, rhs_eta, rtol=cg_tol, x0=eta_bar)
+
+            rhs_lam = rhs_lam_base + eta_now
+            if params.kappa != 0.0:
+                rhs_lam = rhs_lam - params.kappa * mesh.chemotaxis_adjoint_arrays(
+                    lam_bar, v_new, hx, hy, scheme
+                )
+            lam_now = linalg.solve_shifted(grid, shift_lam, rhs_lam, rtol=cg_tol, x0=lam_bar)
+            return lam_now, eta_now
+
         try:
-            lam[m], eta[m] = step_adjoint(
-                grid, lam[m + 1], eta[m + 1], state.u[m + 1], state.v[m + 1],
-                control.array_at(m), u_d[m + 1], v_d[m + 1], params, weights, tau,
-                scheme, cg_tol, settings, level_weights[m + 1],
+            (lam[m], eta[m]), _, _ = coupled_fixed_point(
+                sweep, (lam[m + 1], eta[m + 1]), settings, grid.cell_area, "dual fixed point",
             )
         except PicardDivergenceError as err:
             err.time_index = m

@@ -143,14 +143,14 @@ def project(f: ControlField, admissible: AdmissibleSet) -> ControlField:
     return ControlField(f.time_grid, f.region, clipped)
 
 
-def _qc_weight(f: ControlField) -> float:
-    # space-time measure of one control degree of freedom
+def qc_weight(f: ControlField) -> float:
+    """Space-time measure of one control degree of freedom, the L2(Q_c) weight."""
     return f.region.grid.cell_area * f.time_grid.tau
 
 
 def qc_norm(values: np.ndarray, f: ControlField) -> float:
     """Discrete L2 norm over the control cylinder for control-shaped arrays."""
-    return float(np.sqrt(np.sum(values * values) * _qc_weight(f)))
+    return float(np.sqrt(np.sum(values * values) * qc_weight(f)))
 
 
 def control_cost(f: ControlField, gamma_f: float, p: float) -> float:
@@ -159,7 +159,7 @@ def control_cost(f: ControlField, gamma_f: float, p: float) -> float:
         raise ValueError("gamma_f must be nonnegative")
     if gamma_f == 0.0:
         return 0.0
-    return gamma_f / p * float(np.sum(np.abs(f.values) ** p)) * _qc_weight(f)
+    return gamma_f / p * float(np.sum(np.abs(f.values) ** p)) * qc_weight(f)
 
 
 def reduced_gradient(

@@ -11,10 +11,11 @@ growth, and the control ``f`` acts multiplicatively on ``v`` inside the
 control region ``C``.
 
 Time discretization is backward Euler with a per-step Picard (fixed-point)
-loop, `coupled_fixed_point`: each sweep freezes the positive parts of the
-previous iterate pair, solves the ``v`` equation, then the ``u`` equation,
+loop, `coupled_fixed_point`, which `solve_forward` calls on each level's
+sweep: the sweep freezes the positive parts of the previous iterate pair,
+solves the ``v`` equation (`step_v`), then the ``u`` equation (`step_u`),
 both shifted Laplacians handed to `kscontrol.linalg.solve_shifted`.  The
-dual and linearized steppers in `kscontrol.adjoint` reuse the same loop and
+dual and linearized marches in `kscontrol.adjoint` reuse the same loop and
 the same solve.  At convergence the step is fully implicit.  Freezing
 *positive parts* rather than raw iterates keeps every lagged coefficient
 nonnegative, which is what makes the two matrices positive definite and
@@ -135,12 +136,6 @@ def trapezoid_sq_l2(stack: np.ndarray, time_grid: TimeGrid, cell_area: float) ->
 _BLOWUP_SCALE = 1e8
 
 
-def _rel_increment(new: np.ndarray, old: np.ndarray, cell_area: float) -> float:
-    diff = mesh.l2_norm_array(new - old, cell_area)
-    scale = max(mesh.l2_norm_array(new, cell_area), 1e-30)
-    return diff / scale
-
-
 Pair = tuple[np.ndarray, np.ndarray]
 
 
@@ -170,11 +165,12 @@ def coupled_fixed_point(
     for k in range(1, settings.max_iters + 1):
         a_new, b_new = sweep(a_bar, b_bar)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a blow-up
-            increment = max(_rel_increment(a_new, a_bar, cell_area),
-                            _rel_increment(b_new, b_bar, cell_area))
+            norm_a = mesh.l2_norm_array(a_new, cell_area)
+            norm_b = mesh.l2_norm_array(b_new, cell_area)
+            increment = max(mesh.l2_norm_array(a_new - a_bar, cell_area) / max(norm_a, 1e-30),
+                            mesh.l2_norm_array(b_new - b_bar, cell_area) / max(norm_b, 1e-30))
             if guard_blowup:
-                new_scale = max(mesh.l2_norm_array(a_new, cell_area),
-                                mesh.l2_norm_array(b_new, cell_area))
+                new_scale = max(norm_a, norm_b)
                 if not np.isfinite(new_scale) or new_scale > _BLOWUP_SCALE * start_scale:
                     raise PicardDivergenceError(
                         f"{name} diverged at sweep {k} "
@@ -250,50 +246,6 @@ def step_u(
     return u_new
 
 
-def picard_step(
-    grid: GridSpec, u_prev: np.ndarray, v_prev: np.ndarray, f_now: np.ndarray,
-    params: ModelParams, tau: float, settings: PicardSettings = PicardSettings(),
-    scheme: Scheme = "central", cg_tol: float = DEFAULT_CG_TOL,
-    source_u: Optional[np.ndarray] = None, source_v: Optional[np.ndarray] = None,
-) -> tuple[Pair, tuple[int, float]]:
-    """Advance one step by fixed-point iteration on the decoupled solves.
-
-    Starting from ``(u_prev, v_prev)``, each sweep solves ``v`` then ``u``
-    with the other iterate's positive part frozen (`coupled_fixed_point`).
-    Returns the new pair ``(u_new, v_new)`` and the step's diagnostics
-    ``(sweeps, mass_identity_residual)``.
-
-    Raises
-    ------
-    PicardDivergenceError
-        If ``settings.max_iters`` sweeps do not reach the tolerance, or as
-        soon as the iterates blow up (relative increment beyond any useful
-        scale), so a hopeless step fails fast instead of overflowing.
-    """
-    area = grid.cell_area
-
-    def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
-        v_new = step_v(grid, v_prev, u_bar, v_bar, f_now, tau, cg_tol, source_v, v_bar)
-        u_new = step_u(grid, u_prev, u_bar, v_new, params, tau, scheme, cg_tol,
-                       source_u, u_bar)
-        return u_new, v_new
-
-    (u_new, v_new), (u_bar, _), sweeps = coupled_fixed_point(
-        sweep, (u_prev, v_prev), settings, area, "fixed-point iteration", guard_blowup=True,
-    )
-    ubar_pos = np.maximum(u_bar, 0.0)
-    int_ubar = float(ubar_pos.sum()) * area
-    int_ubar_unew = float(np.sum(ubar_pos * u_new)) * area
-    int_src = float(source_u.sum()) * area if source_u is not None else 0.0
-    residual = (
-        (float(u_new.sum()) - float(u_prev.sum())) * area / tau
-        - params.r * int_ubar
-        + params.mu * int_ubar_unew
-        - int_src
-    )
-    return (u_new, v_new), (sweeps, residual)
-
-
 def check_control_layout(control: ControlField, grid: GridSpec, time_grid: TimeGrid) -> None:
     """Raise unless ``control`` lives on ``grid`` and steps on ``time_grid``."""
     if control.region.grid != grid:
@@ -359,15 +311,32 @@ def solve_forward(
     picard_iters = np.zeros(nt, dtype=int)
     mass_residual = np.zeros(nt)
 
+    area = grid.cell_area
     for n in range(nt):
+        u_prev, v_prev, f_now = u[n], v[n], control.array_at(n)
+        src_u = None if source_u is None else source_u[n]
+        src_v = None if source_v is None else source_v[n]
+
+        def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
+            v_new = step_v(grid, v_prev, u_bar, v_bar, f_now, tau, cg_tol, src_v, v_bar)
+            u_new = step_u(grid, u_prev, u_bar, v_new, params, tau, scheme, cg_tol, src_u, u_bar)
+            return u_new, v_new
+
         try:
-            (u[n + 1], v[n + 1]), (picard_iters[n], mass_residual[n]) = picard_step(
-                grid, u[n], v[n], control.array_at(n), params, tau, settings, scheme,
-                cg_tol, None if source_u is None else source_u[n],
-                None if source_v is None else source_v[n])
+            (u_new, v[n + 1]), (u_bar, _), picard_iters[n] = coupled_fixed_point(
+                sweep, (u_prev, v_prev), settings, area, "fixed-point iteration", guard_blowup=True)
         except PicardDivergenceError as err:
             err.time_index = n
             raise
+        # the mass identity with the u_bar_+ the accepted u solve froze
+        ubar_pos = np.maximum(u_bar, 0.0)
+        int_ubar = float(ubar_pos.sum()) * area
+        int_ubar_unew = float(np.sum(ubar_pos * u_new)) * area
+        int_src = float(src_u.sum()) * area if src_u is not None else 0.0
+        mass_residual[n] = ((float(u_new.sum()) - float(u_prev.sum())) * area / tau
+                            - params.r * int_ubar + params.mu * int_ubar_unew - int_src)
+        u[n + 1] = u_new
+        del u_new, u_bar, _, ubar_pos  # hold no field of this level through the next
 
     return StateTrajectory(
         time_grid=time_grid,

@@ -46,6 +46,7 @@ from .control import (
     ControlField,
     CostWeights,
     TrackingTargets,
+    qc_weight,
     require_well_posed,
 )
 from .errors import (
@@ -551,9 +552,8 @@ def _cmd_grad_check(args) -> int:
         ControlField(f.time_grid, f.region, rng.standard_normal(f.values.shape))
         for _ in range(args.directions)
     ]
-    weight = problem.region.grid.cell_area * problem.time_grid.tau
     analytic = np.array(
-        [float(np.sum(d.values * F.values)) * weight for F in directions]
+        [float(np.sum(d.values * F.values)) * qc_weight(f) for F in directions]
     )
     fd = verify.fd_gradient(problem, f, directions, eps=args.eps)
 
@@ -579,10 +579,9 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_mms(args) -> int:
-    cfg = load_config(args.config, args.overrides)
     table = verify.mms_convergence(levels=args.levels, study=args.study,
                                    scheme=args.scheme)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args, DEFAULTS)
     path = out / f"mms_{args.study}.csv"
     path.write_text(table.to_csv())
     for k, row in enumerate(table.rows):
@@ -628,15 +627,13 @@ _POSITIVE_COUNT = _checked(int, lambda n: n >= 1, "at least 1")
 _TOLERANCE = _checked(float, lambda x: 0 <= x < np.inf, "finite and nonnegative")
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> None:
-    parser.add_argument("--config", required=needs_config, default=None,
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True,
                         help="configuration file (key = value lines)")
     parser.add_argument("--set", action="append", default=[], dest="overrides",
                         metavar="KEY=VALUE", help="override one configuration key")
     parser.add_argument("--output", default=None, metavar="DIR",
                         help="directory for output files (default: output.directory)")
-    parser.add_argument("--seed", type=_COUNT, default=0,
-                        help="seed for any randomized auxiliary data")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -659,6 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="projected-gradient descent on the control")
     _add_common(opt)
+    opt.add_argument("--seed", type=_COUNT, default=0, help="seed for the extra starts")
     opt.add_argument("--starts", type=_POSITIVE_COUNT, default=1,
                      help="number of initial controls (first is control.initial)")
     opt.add_argument("--start-scale", type=_checked(float, np.isfinite, "finite"), default=1.0,
@@ -667,6 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser("grad-check",
                         help="compare the assembled gradient with finite differences")
     _add_common(gc)
+    gc.add_argument("--seed", type=_COUNT, default=0, help="seed for the random directions")
     gc.add_argument("--directions", type=_POSITIVE_COUNT, default=5)
     gc.add_argument("--eps", type=_checked(float, lambda x: 0 < x < np.inf, "finite and positive"),
                     default=1e-5)
@@ -677,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(inv)
 
     mms = sub.add_parser("mms", help="manufactured-solution convergence study")
-    _add_common(mms, needs_config=False)
+    mms.add_argument("--output", default=DEFAULTS["output.directory"], metavar="DIR",
+                     help="directory for output files")
     mms.add_argument("--study", choices=("spatial", "temporal"), default="spatial")
     mms.add_argument("--levels", type=_checked(int, lambda n: n >= 2, "at least 2"), default=3)
     mms.add_argument("--scheme", choices=("central", "upwind"), default="central")

@@ -235,9 +235,10 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     step.  Trial controls the forward solver cannot march (its fixed point
     diverges, or a linear solve fails) or whose march the next dual sweep
     cannot take (`check_dual_definite` on levels ``1 .. nt``) are rejected
-    exactly like insufficient-decrease trials.  If the line search exhausts its
-    backtracks the best iterate so far is returned with
-    ``reason = "line_search_failure"``.  Only solving needs a minimizer to
+    exactly like insufficient-decrease trials; a trial that clipping leaves
+    bit for bit equal to the one rejected before it is rejected without a
+    march.  If the line search exhausts its backtracks the best iterate so
+    far is returned with ``reason = "line_search_failure"``.  Only solving needs a minimizer to
     exist: `require_well_posed` raises `ValueError` before the first march.
     """
     require_well_posed(problem.weights, problem.admissible)
@@ -261,9 +262,16 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
             break
 
         s = arm.s0
+        previous = b""
         for backtrack in range(arm.max_backtracks + 1):
             trial_vals = np.clip(f.values - s * d.values, problem.admissible.f_min,
                                  problem.admissible.f_max)
+            trial_bits = trial_vals.tobytes()
+            if trial_bits == previous:
+                # the rejected trial again: same march, a larger decrease asked
+                s *= arm.shrink
+                continue
+            previous = trial_bits
             f_trial = ControlField(f.time_grid, f.region, trial_vals)
             try:
                 state_trial, cost_trial = cost_of_control(problem, f_trial)

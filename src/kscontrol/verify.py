@@ -273,17 +273,20 @@ _MMS = dict(AU=0.6, BU=0.25, SU=3.0, AV=0.5, BV=0.2, SV=2.0,
             kappa=0.8, r=0.3, mu=0.8, Lx=1.0, Ly=1.0)
 
 
-def _mms_exact_u(x, y, t, c=_MMS):
+def _mms_exact_u(x, y, t):
+    c = _MMS
     kx, ky = math.pi / c["Lx"], math.pi / c["Ly"]
     return c["AU"] + c["BU"] * np.exp(-c["SU"] * t) * np.cos(kx * x) * np.cos(ky * y)
 
 
-def _mms_exact_v(x, y, t, c=_MMS):
+def _mms_exact_v(x, y, t):
+    c = _MMS
     kx = math.pi / c["Lx"]
     return c["AV"] + c["BV"] * np.exp(-c["SV"] * t) * np.cos(kx * x)
 
 
-def _mms_source_u(x, y, t, c=_MMS):
+def _mms_source_u(x, y, t):
+    c = _MMS
     kx, ky = math.pi / c["Lx"], math.pi / c["Ly"]
     eu = np.exp(-c["SU"] * t)
     ev = np.exp(-c["SV"] * t)
@@ -296,7 +299,8 @@ def _mms_source_u(x, y, t, c=_MMS):
     return dt_minus_lap + chemo - c["r"] * u_exact + c["mu"] * u_exact * u_exact
 
 
-def _mms_source_v(x, y, t, c=_MMS):
+def _mms_source_v(x, y, t):
+    c = _MMS
     kx, ky = math.pi / c["Lx"], math.pi / c["Ly"]
     eu = np.exp(-c["SU"] * t)
     ev = np.exp(-c["SV"] * t)

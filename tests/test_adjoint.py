@@ -9,11 +9,7 @@ together at solver tolerance.
 import numpy as np
 import pytest
 
-from kscontrol.adjoint import (
-    solve_adjoint,
-    solve_linearized_dual,
-    step_adjoint,
-)
+from kscontrol.adjoint import solve_adjoint, solve_linearized_dual
 from kscontrol.control import ControlField, CostWeights, TrackingTargets
 from kscontrol.errors import (
     GridMismatchError,
@@ -150,30 +146,6 @@ def test_adjoint_repeat_solve_is_bitwise_identical():
         np.testing.assert_array_equal(a.eta[m], b.eta[m])
 
 
-def test_manual_backward_composition_matches_solver():
-    # stepping by hand in reverse order reproduces the solver bitwise,
-    # confirming the sweep is nothing more than the composition of steps
-    params, tg, f, state = _forward_fixture(nt=4)
-    weights = CostWeights(1.0, 1.0, 0.0)
-    targets = _targets()
-    adj = solve_adjoint(state, f, targets, params, weights)
-
-    lam = np.zeros((GRID.nx, GRID.ny))
-    eta = np.zeros((GRID.nx, GRID.ny))
-    levels = [(lam, eta)]
-    for m in range(tg.nt - 1, -1, -1):
-        lam, eta = step_adjoint(
-            GRID, lam, eta, state.u[m + 1], state.v[m + 1], f.array_at(m),
-            targets.u_d, targets.v_d, params, weights, tg.tau,
-            tracking_weight=0.5 if m + 1 == tg.nt else 1.0,
-        )
-        levels.append((lam, eta))
-    levels.reverse()
-    for m in range(tg.nt + 1):
-        np.testing.assert_array_equal(adj.lam[m], levels[m][0])
-        np.testing.assert_array_equal(adj.eta[m], levels[m][1])
-
-
 def test_linearized_solver_matches_forward_differences():
     """The linearized state solver is the Gateaux derivative of the march.
 
@@ -221,23 +193,32 @@ def test_duality_identity(scheme):
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
+def _one_level_sweep(u_new, v_new, f_value, params, tau):
+    """The dual sweep of a one-step state whose new level is ``(u_new, v_new)``
+    (built from bare levels), under the control ``f_value`` on the whole grid,
+    with zero targets."""
+    tg = TimeGrid(T=tau, nt=1)
+    state = StateTrajectory(tg, GRID, np.stack([u_new, u_new]), np.stack([v_new, v_new]))
+    f = ControlField.from_constant(tg, RegionMask.everywhere(GRID), f_value)
+    zero = constant_field(GRID, 0.0)
+    return solve_adjoint(state, f, TrackingTargets(zero, zero), params,
+                         CostWeights(1.0, 1.0, 0.0))
+
+
 def test_step_conditioning_guards():
     params = ModelParams(kappa=0.0, r=0.5, mu=1.0)
     tau = 0.1
     zero = np.zeros((GRID.nx, GRID.ny))
     half = np.full((GRID.nx, GRID.ny), 0.5)
-    weights = CostWeights(1.0, 1.0, 0.0)
 
     # 1/tau + 1 - f <= 0: the eta solve would lose definiteness
     with pytest.raises(StepConditioningError, match="signal"):
-        step_adjoint(GRID, zero, zero, half, half, np.full((GRID.nx, GRID.ny), 12.0),
-                     zero, zero, params, weights, tau)
+        _one_level_sweep(half, half, 12.0, params, tau)
 
     # 1/tau + 2 mu u_+ - r <= 0: the lam solve would lose definiteness
     strong_r = ModelParams(kappa=0.0, r=30.0, mu=1.0)
     with pytest.raises(StepConditioningError, match="density"):
-        step_adjoint(GRID, zero, zero, zero, zero, zero,
-                     zero, zero, strong_r, weights, tau)
+        _one_level_sweep(zero, zero, 0.0, strong_r, tau)
 
 
 def test_dual_fixed_point_stall_is_reported():

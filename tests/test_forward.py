@@ -1,5 +1,6 @@
-"""Time stepper tests: single implicit solves, the per-step fixed point,
-and full trajectories against closed-form references."""
+"""Time stepper tests: single implicit solves, the per-step fixed point
+(through one-step marches), and full trajectories against closed-form
+references."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from kscontrol.forward import (
     ModelParams,
     PicardSettings,
     TimeGrid,
-    picard_step,
     solve_forward,
     step_u,
     step_v,
@@ -134,6 +134,14 @@ def test_step_u_mass_identity_holds_to_round_off(scheme):
 # the per-step fixed point
 
 
+def _one_step(u0, v0, f_value, params, tau, **kwargs):
+    """March one step of length ``tau`` under the control ``f_value`` on the
+    whole grid; the per-step fixed point is all the march does."""
+    tg = TimeGrid(T=tau, nt=1)
+    f = ControlField.from_constant(tg, RegionMask.everywhere(GRID), f_value)
+    return solve_forward(Field2D(GRID, u0), Field2D(GRID, v0), f, params, tg, **kwargs)
+
+
 def test_picard_two_sweeps_in_the_near_linear_regime():
     # with kappa = 0, r = 0, f = 0, vanishing mu, and constant density the
     # lagged coefficients never move: the first sweep already lands on the
@@ -142,11 +150,9 @@ def test_picard_two_sweeps_in_the_near_linear_regime():
     params = ModelParams(kappa=0.0, r=0.0, mu=1e-12)
     u0 = _const(0.7)
     v0 = rng.uniform(0.2, 1.0, size=(8, 8))
-    _, (iterations, *_) = picard_step(
-        GRID, u0, v0, _const(0.0), params, tau=0.05,
-        settings=PicardSettings(tol=1e-9, max_iters=20),
-    )
-    assert iterations <= 2
+    state = _one_step(u0, v0, 0.0, params, tau=0.05,
+                      settings=PicardSettings(tol=1e-9, max_iters=20))
+    assert state.picard_iters[0] <= 2
 
 
 def test_picard_tightening_tol_barely_moves_the_iterate():
@@ -154,13 +160,10 @@ def test_picard_tightening_tol_barely_moves_the_iterate():
     params = ModelParams(kappa=1.0, r=0.5, mu=1.0)
     u0 = rng.uniform(0.2, 1.0, size=(8, 8))
     v0 = rng.uniform(0.2, 1.0, size=(8, 8))
-    f = _const(0.3)
-    (loose_u, _), _ = picard_step(GRID, u0, v0, f, params, tau=0.05,
-                                  settings=PicardSettings(tol=1e-6, max_iters=50),
-                                  cg_tol=1e-13)
-    (tight_u, _), _ = picard_step(GRID, u0, v0, f, params, tau=0.05,
-                                  settings=PicardSettings(tol=1e-13, max_iters=200),
-                                  cg_tol=1e-13)
+    loose_u = _one_step(u0, v0, 0.3, params, tau=0.05,
+                        settings=PicardSettings(tol=1e-6, max_iters=50), cg_tol=1e-13).u[1]
+    tight_u = _one_step(u0, v0, 0.3, params, tau=0.05,
+                        settings=PicardSettings(tol=1e-13, max_iters=200), cg_tol=1e-13).u[1]
     du = np.max(np.abs(loose_u - tight_u))
     assert du < 1e-6 * np.max(np.abs(tight_u))
 
@@ -171,41 +174,19 @@ def test_picard_raises_after_iteration_cap():
     u0 = rng.uniform(0.2, 1.0, size=(8, 8))
     v0 = rng.uniform(0.2, 1.0, size=(8, 8))
     with pytest.raises(PicardDivergenceError) as exc:
-        picard_step(GRID, u0, v0, _const(0.0), params, tau=0.1,
-                    settings=PicardSettings(tol=1e-15, max_iters=1))
+        _one_step(u0, v0, 0.0, params, tau=0.1,
+                  settings=PicardSettings(tol=1e-15, max_iters=1))
     assert exc.value.last_increment > 0.0
+    assert exc.value.time_index == 0
 
 
 def test_picard_blowup_guard_stops_an_amplifying_step():
     # with tau = 1 the lagged term f v_+ multiplies v by about f / 2 = 50 per
     # sweep, so the iterates outgrow their start by 1e8 at sweep 5
     params = ModelParams(kappa=1.0, r=1.0, mu=1.0)
-    with pytest.raises(PicardDivergenceError, match="diverged at sweep 5"):
-        picard_step(GRID, _const(0.5), _const(0.5), _const(100.0), params, tau=1.0)
-
-
-def test_manual_forward_composition_matches_solver():
-    # stepping by hand level by level reproduces the solver bitwise,
-    # trajectory and diagnostics, so the march is nothing more than the
-    # composition of steps
-    rng = np.random.default_rng(47)
-    params = ModelParams(kappa=0.8, r=0.6, mu=1.2)
-    tg = TimeGrid(T=0.2, nt=4)
-    region = RegionMask.rectangle(GRID, 0.25, 0.25, 0.75, 0.75)
-    f = ControlField(tg, region, rng.uniform(-0.5, 0.5, size=(tg.nt, region.count)))
-    u0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
-    v0 = Field2D(GRID, rng.uniform(0.2, 1.0, size=(8, 8)))
-    state = solve_forward(u0, v0, f, params, tg, scheme="upwind")
-
-    u, v = u0.values, v0.values
-    for n in range(tg.nt):
-        (u, v), (sweeps, residual) = picard_step(
-            GRID, u, v, f.array_at(n), params, tg.tau, scheme="upwind",
-        )
-        np.testing.assert_array_equal(state.u[n + 1], u)
-        np.testing.assert_array_equal(state.v[n + 1], v)
-        assert state.picard_iters[n] == sweeps
-        assert state.mass_identity_residual[n] == residual
+    with pytest.raises(PicardDivergenceError, match="diverged at sweep 5") as exc:
+        _one_step(_const(0.5), _const(0.5), 100.0, params, tau=1.0)
+    assert exc.value.time_index == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Configuration parsing, snapshot files, and the command-line surface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kscontrol import io_cli
+from kscontrol.control import AdmissibleSet, CostWeights
 from kscontrol.errors import ConfigError, SnapshotFormatError
+from kscontrol.forward import ModelParams, PicardSettings
 from kscontrol.io_cli import (
     DEFAULTS,
     build_problem,
@@ -17,6 +21,7 @@ from kscontrol.io_cli import (
     write_snapshot,
 )
 from kscontrol.mesh import GridSpec
+from kscontrol.optimize import ArmijoSettings, ControlProblem, OptimizeOptions
 
 
 BASE_CFG = """
@@ -78,6 +83,34 @@ def test_load_config_defaults_when_empty():
     assert cfg["forward.scheme"] == "central"
     assert cfg["optimizer.vi_tol"] == 1e-6
     assert cfg["control.kind"] == "unconstrained"
+
+
+# each config key that a parameter type also defaults -> (type, field)
+_LIBRARY_DEFAULTS = {
+    "model.p_exponent": (ModelParams, "p_exponent"),
+    "forward.scheme": (ControlProblem, "scheme"),
+    "forward.cg_tol": (ControlProblem, "cg_tol"),
+    "forward.picard_tol": (PicardSettings, "tol"),
+    "forward.picard_max_iters": (PicardSettings, "max_iters"),
+    "cost.gamma_u": (CostWeights, "gamma_u"),
+    "cost.gamma_v": (CostWeights, "gamma_v"),
+    "cost.gamma_f": (CostWeights, "gamma_f"),
+    "control.kind": (AdmissibleSet, "kind"),
+    "optimizer.max_iters": (OptimizeOptions, "max_iters"),
+    "optimizer.vi_tol": (OptimizeOptions, "vi_tol"),
+    "optimizer.armijo_c1": (ArmijoSettings, "c1"),
+    "optimizer.armijo_shrink": (ArmijoSettings, "shrink"),
+    "optimizer.armijo_s0": (ArmijoSettings, "s0"),
+    "optimizer.armijo_max_backtracks": (ArmijoSettings, "max_backtracks"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_LIBRARY_DEFAULTS))
+def test_cli_default_is_the_library_default(key):
+    cls, name = _LIBRARY_DEFAULTS[key]
+    default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    assert DEFAULTS[key] == default
+    assert type(DEFAULTS[key]) is type(default)
 
 
 def test_load_config_rejects_unknown_key():
@@ -327,6 +360,25 @@ SHRINKING = ["--set", "grid.nx=6", "--set", "grid.ny=6", "--set", "time.nt=2",
              "--set", "optimizer.armijo_max_backtracks=5"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}", "--seed", "3"],
+    ["invariants", "--config", "{cfg}", "--seed", "3"],
+    ["adjoint", "--config", "{cfg}", "--state-dir", "{tmp}", "--seed", "3"],
+    ["mms", "--seed", "3"],
+    ["mms", "--set", "model.kappa=5"],
+    ["mms", "--config", "{cfg}"],
+], ids=["simulate-seed", "invariants-seed", "adjoint-seed", "mms-seed", "mms-set", "mms-config"])
+def test_cli_refuses_input_the_command_does_not_read(base_cfg, tmp_path, capsys, argv):
+    # the mms study fixes every constant, and only optimize and grad-check
+    # draw random numbers: accepting the flag would silently ignore it
+    out = tmp_path / "out"
+    argv = [a.format(cfg=base_cfg, tmp=tmp_path) for a in argv]
+    assert run([*argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unrecognized arguments: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, overrides, key", [
     ("simulate", ["init.u0=constant:inf"], "init.u0"),
     ("simulate", ["control.initial=constant:nan"], "control.initial"),
@@ -392,8 +444,9 @@ def test_cli_bad_float_flag_exits_one(base_cfg, tmp_path, capsys, command, flag,
     # the flag is checked where it is declared, before any march, so
     # nothing is written
     out = tmp_path / "out"
+    config = [] if command == "mms" else ["--config", base_cfg]  # mms reads no config
     extra = {"optimize": ["--starts", "2"], "grad-check": ["--directions", "1"]}.get(command, [])
-    assert run([command, "--config", base_cfg, "--output", str(out), *extra, flag, value]) == 1
+    assert run([command, *config, "--output", str(out), *extra, flag, value]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: argument {flag}: must be ")
     assert not out.exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kscontrol import optimize
 from kscontrol.adjoint import solve_adjoint
 from kscontrol.control import (
     AdmissibleSet,
@@ -191,12 +192,10 @@ def test_trial_the_dual_cannot_take_is_a_rejected_step(s0):
     assert report.final_control.values.max() < 1.0 / tg.tau + 1.0
 
 
-def test_trial_whose_march_the_dual_cannot_take_is_a_rejected_step():
+def _trial_crash_problem():
     # with tau = 1 and r = 2 the dual density shift 1/tau + 2 mu u_+ - r is
     # positive only while u > 1/2; the march from u0 = 0.6 under the initial
     # f = 0 keeps it there, but a long first step to the box bound does not.
-    # That trial marches fine, so only a check on its march can reject it
-    # before the next gradient needs the dual.
     grid = GridSpec(Lx=1.0, Ly=1.0, nx=8, ny=8)
     tg = TimeGrid(T=1.0, nt=1)
     region = RegionMask.rectangle(grid, 0.0, 0.0, 0.45, 0.45)
@@ -207,19 +206,45 @@ def test_trial_whose_march_the_dual_cannot_take_is_a_rejected_step():
         u0=u0, v0=v0, targets=TrackingTargets(u0, v0), params=params,
         weights=CostWeights(), admissible=AdmissibleSet(), region=region, time_grid=tg,
         scheme="upwind", picard=picard), ControlField.from_constant(tg, region, 1.9))[0]
-    problem = ControlProblem(
+    return ControlProblem(
         u0=u0, v0=v0, targets=TrackingTargets(star.u, star.v), params=params,
         weights=CostWeights(1.0, 1.0, 1e-4), admissible=AdmissibleSet("box", -1.9, 1.9),
         region=region, time_grid=tg, scheme="upwind", picard=picard,
     )
+
+
+def test_trial_whose_march_the_dual_cannot_take_is_a_rejected_step():
+    # the long first step's trial marches fine, so only a check on its march
+    # can reject it before the next gradient needs the dual
+    problem = _trial_crash_problem()
     # the first trial reaches the bound, where the shift margin is -0.04;
-    # three iterations step past it (a run to line-search failure takes 500 marches)
+    # three iterations step past it (a run to line-search failure takes 511 trials)
     report = solve(problem, OptimizeOptions(max_iters=3, armijo=ArmijoSettings(s0=1e4)))
     costs = [rec.cost.j_total for rec in report.iterates]
     assert len(costs) == 4
     assert all(b < a for a, b in zip(costs, costs[1:]))
     state, _ = cost_of_control(problem, report.final_control)
     gradient_of_control(problem, report.final_control, state)
+
+
+def test_a_trial_that_clipping_repeats_is_not_marched_again(monkeypatch):
+    # once s d reaches far past the box, halving s leaves the clipped trial
+    # unchanged; its march would repeat the rejected one bit for bit
+    problem = _trial_crash_problem()
+    marched = []
+
+    def counting_cost_of_control(problem, f):
+        marched.append(f.values.tobytes())
+        return cost_of_control(problem, f)
+
+    monkeypatch.setattr(optimize, "cost_of_control", counting_cost_of_control)
+    report = solve(problem, OptimizeOptions(max_iters=20, armijo=ArmijoSettings(s0=1e4)))
+    assert all(a != b for a, b in zip(marched, marched[1:]))
+    # the report still counts every trial: the initial march, each accepted
+    # search, and the last search's 41 rejections; 144 of those 511 trials repeat
+    assert report.reason == "line_search_failure"
+    assert 1 + sum(rec.backtracks + 1 for rec in report.iterates[1:]) + 41 == 511
+    assert len(marched) == 511 - 144
 
 
 def test_solve_hits_iteration_cap():

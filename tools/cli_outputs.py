@@ -5,11 +5,11 @@
 Runs the R1 configuration of ``tests/test_acceptance.py`` through
 ``kscontrol.run`` in this process, once per command:
 
-    simulate    --snapshot-every 1
+    simulate    --snapshot-every 1, with central and with upwind fluxes
     invariants  with upwind fluxes
-    adjoint     along the simulate snapshots
+    adjoint     along each simulate run's snapshots, with its fluxes
     optimize    --seed 11 with 1 and 3 starts, unconstrained and as a box
-    grad-check
+    grad-check  with central and with upwind fluxes
     mms         --levels 2, spatial and temporal
 
 Each command runs in ``OUTDIR/<name>/`` with relative paths, so nothing in
@@ -38,19 +38,23 @@ import sys
 from pathlib import Path
 
 BOX = ["--set", "control.kind=box", "--set", "control.f_min=-1", "--set", "control.f_max=1"]
+UPWIND = ["--set", "forward.scheme=upwind"]
 
 # name -> arguments after the command word; "../run.cfg" is the R1 config
 COMMANDS = {
     "simulate": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1"],
-    "invariants-upwind": ["invariants", "--config", "../run.cfg",
-                          "--set", "forward.scheme=upwind"],
+    "simulate-upwind": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1", *UPWIND],
+    "invariants-upwind": ["invariants", "--config", "../run.cfg", *UPWIND],
     "adjoint": ["adjoint", "--config", "../run.cfg", "--state-dir", "../simulate/files"],
+    "adjoint-upwind": ["adjoint", "--config", "../run.cfg",
+                       "--state-dir", "../simulate-upwind/files", *UPWIND],
     "optimize-1": ["optimize", "--config", "../run.cfg", "--seed", "11"],
     "optimize-3": ["optimize", "--config", "../run.cfg", "--seed", "11", "--starts", "3"],
     "optimize-box-1": ["optimize", "--config", "../run.cfg", "--seed", "11", *BOX],
     "optimize-box-3": ["optimize", "--config", "../run.cfg", "--seed", "11", "--starts", "3",
                        *BOX],
     "grad-check": ["grad-check", "--config", "../run.cfg"],
+    "grad-check-upwind": ["grad-check", "--config", "../run.cfg", *UPWIND],
     "mms": ["mms", "--levels", "2"],
     "mms-temporal": ["mms", "--study", "temporal", "--levels", "2"],
 }
