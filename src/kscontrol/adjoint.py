@@ -54,7 +54,7 @@ import numpy as np
 
 from . import linalg, mesh
 from .control import ControlField, CostWeights, TrackingTargets
-from .errors import PicardDivergenceError, StepConditioningError
+from .errors import StepConditioningError
 from .forward import (
     ModelParams,
     PicardSettings,
@@ -127,6 +127,8 @@ def solve_adjoint(
 
     Raises
     ------
+    ValueError
+        If a target is neither one field nor one field per level.
     StepConditioningError
         If a reaction shift makes one of the SPD solves indefinite.
     PicardDivergenceError
@@ -134,6 +136,7 @@ def solve_adjoint(
     """
     grid = state.grid
     check_control_layout(control, grid, state.time_grid)
+    targets.check_shape(state.u.shape)
     nt = state.time_grid.nt
     tau = state.time_grid.tau
     inv_tau = 1.0 / tau
@@ -148,36 +151,20 @@ def solve_adjoint(
         # coefficients frozen at level m+1, tracking sources with its weight
         u_new, v_new, w = state.u[m + 1], state.v[m + 1], level_weights[m + 1]
         upos, shift_lam, shift_eta = _dual_coefficients(u_new, control.array_at(m), params, tau)
-        rhs_lam_base = lam[m + 1] * inv_tau
-        if weights.gamma_u != 0.0:
-            rhs_lam_base = rhs_lam_base + w * weights.gamma_u * (u_new - u_d[m + 1])
-        rhs_eta_base = eta[m + 1] * inv_tau
-        if weights.gamma_v != 0.0:
-            rhs_eta_base = rhs_eta_base + w * weights.gamma_v * (v_new - v_d[m + 1])
+        rhs_lam_base = lam[m + 1] * inv_tau + w * weights.gamma_u * (u_new - u_d[m + 1])
+        rhs_eta_base = eta[m + 1] * inv_tau + w * weights.gamma_v * (v_new - v_d[m + 1])
 
         def sweep(lam_bar: np.ndarray, eta_bar: np.ndarray):
-            rhs_eta = rhs_eta_base
-            if params.kappa != 0.0:
-                rhs_eta = rhs_eta - params.kappa * mesh.weighted_diffusion_arrays(
-                    upos, lam_bar, v_new, hx, hy, scheme
-                )
+            rhs_eta = rhs_eta_base - params.kappa * mesh.weighted_diffusion_arrays(
+                upos, lam_bar, v_new, hx, hy, scheme)
             eta_now = linalg.solve_shifted(grid, shift_eta, rhs_eta, rtol=cg_tol, x0=eta_bar)
-
-            rhs_lam = rhs_lam_base + eta_now
-            if params.kappa != 0.0:
-                rhs_lam = rhs_lam - params.kappa * mesh.chemotaxis_adjoint_arrays(
-                    lam_bar, v_new, hx, hy, scheme
-                )
+            rhs_lam = rhs_lam_base + eta_now - params.kappa * mesh.chemotaxis_adjoint_arrays(
+                lam_bar, v_new, hx, hy, scheme)
             lam_now = linalg.solve_shifted(grid, shift_lam, rhs_lam, rtol=cg_tol, x0=lam_bar)
             return lam_now, eta_now
 
-        try:
-            (lam[m], eta[m]), _, _ = coupled_fixed_point(
-                sweep, (lam[m + 1], eta[m + 1]), settings, grid.cell_area, "dual fixed point",
-            )
-        except PicardDivergenceError as err:
-            err.time_index = m
-            raise
+        (lam[m], eta[m]), _, _ = coupled_fixed_point(
+            sweep, (lam[m + 1], eta[m + 1]), settings, grid.cell_area, "dual fixed point", m)
     return AdjointTrajectory(state.time_grid, grid, lam, eta)
 
 
@@ -226,24 +213,16 @@ def solve_linearized_dual(
         rhs_v_base = source_v[m] + v_prev * inv_tau
 
         def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
-            rhs_u = rhs_u_base
-            if params.kappa != 0.0:
-                rhs_u = rhs_u - params.kappa * (
-                    mesh.chemotaxis_divergence_arrays(u_bar, v_new, hx, hy, scheme)
-                    + mesh.weighted_diffusion_arrays(upos, v_bar, v_new, hx, hy, scheme)
-                )
+            rhs_u = rhs_u_base - params.kappa * (
+                mesh.chemotaxis_divergence_arrays(u_bar, v_new, hx, hy, scheme)
+                + mesh.weighted_diffusion_arrays(upos, v_bar, v_new, hx, hy, scheme))
             u_lin = linalg.solve_shifted(grid, shift_u, rhs_u, rtol=cg_tol, x0=u_bar)
             v_lin = linalg.solve_shifted(grid, shift_v, rhs_v_base + u_lin,
                                          rtol=cg_tol, x0=v_bar)
             return u_lin, v_lin
 
-        try:
-            (u_prev, v_prev), _, _ = coupled_fixed_point(
-                sweep, (u_prev, v_prev), settings, grid.cell_area, "linearized fixed point",
-            )
-        except PicardDivergenceError as err:
-            err.time_index = m
-            raise
+        (u_prev, v_prev), _, _ = coupled_fixed_point(
+            sweep, (u_prev, v_prev), settings, grid.cell_area, "linearized fixed point", m)
         U[m], V[m] = u_prev, v_prev
 
     return U, V

@@ -121,8 +121,8 @@ def require_well_posed(weights: CostWeights, admissible: AdmissibleSet) -> None:
 class TrackingTargets:
     """Desired states: each is one field for every level, or one per level.
 
-    A `Field2D`, an array, or a sequence of either is stored as one float
-    array of shape ``(nx, ny)`` or ``(nt + 1, nx, ny)``; both broadcast
+    A `Field2D`, an array, or a sequence of either is stored as one finite
+    float array of shape ``(nx, ny)`` or ``(nt + 1, nx, ny)``; both broadcast
     against a trajectory stack.
     """
 
@@ -130,10 +130,21 @@ class TrackingTargets:
     v_d: np.ndarray
 
     def __post_init__(self):
-        self.u_d = np.asarray(self.u_d, dtype=float)
-        self.v_d = np.asarray(self.v_d, dtype=float)
-        if self.u_d.ndim not in (2, 3) or self.v_d.ndim not in (2, 3):
-            raise ValueError("a target must be one field, or one field per level")
+        for name in ("u_d", "v_d"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            require(values.ndim in (2, 3), name,
+                    "a target must be one field, or one field per level")
+            require(np.all(np.isfinite(values)), name, f"the target {name} must be finite")
+            setattr(self, name, values)
+
+    def check_shape(self, levels: tuple[int, int, int]) -> None:
+        """Raise `ValueError` unless each target is one field, shape ``levels[1:]``,
+        or one field per level, shape ``levels``: a trajectory's ``(nt + 1, nx, ny)``."""
+        for name in ("u_d", "v_d"):
+            shape = getattr(self, name).shape
+            if shape not in (levels, levels[1:]):
+                raise ValueError(f"target {name} has shape {shape}; "
+                                 f"expected {levels[1:]} or {levels}")
 
 
 def project(f: ControlField, admissible: AdmissibleSet) -> ControlField:

@@ -45,13 +45,13 @@ class LinearSolverError(KSControlError):
 
 
 class PicardDivergenceError(KSControlError):
-    """The per-step fixed-point iteration ran out of iterations.
+    """A per-step fixed-point iteration stalled at its sweep cap or diverged.
 
     ``last_increment`` is the final relative increment, ``time_index`` the
-    step at which the iteration gave up (-1 if unknown).
+    step at which the iteration gave up.
     """
 
-    def __init__(self, message: str, last_increment: float, time_index: int = -1):
+    def __init__(self, message: str, last_increment: float, time_index: int):
         super().__init__(message)
         self.last_increment = last_increment
         self.time_index = time_index

@@ -11,12 +11,13 @@ growth, and the control ``f`` acts multiplicatively on ``v`` inside the
 control region ``C``.
 
 Time discretization is backward Euler with a per-step Picard (fixed-point)
-loop, `coupled_fixed_point`, which `solve_forward` calls on each level's
+loop, `coupled_fixed_point`, which `solve_forward` runs on each level's
 sweep: the sweep freezes the positive parts of the previous iterate pair,
 solves the ``v`` equation (`step_v`), then the ``u`` equation (`step_u`),
 both shifted Laplacians handed to `kscontrol.linalg.solve_shifted`.  The
 dual and linearized marches in `kscontrol.adjoint` reuse the same loop and
-the same solve.  At convergence the step is fully implicit.  Freezing
+the same solve; the loop alone raises `PicardDivergenceError`, naming the
+step it was given.  At convergence the step is fully implicit.  Freezing
 *positive parts* rather than raw iterates keeps every lagged coefficient
 nonnegative, which is what makes the two matrices positive definite and
 (with the upwind flux) the step nonnegativity-preserving for nonnegative
@@ -28,7 +29,7 @@ exactly (conservative stencils), leaving the discrete mass identity
     (m_{n+1} - m_n) / tau + mu * int(ubar_+ u_{n+1}) = r * int(ubar_+).
 
 The CG closure error in this identity is redistributed uniformly over the
-cells after each solve, so the recorded residual sits at round-off no
+cells after each ``u`` solve, so the recorded residual sits at round-off no
 matter the solver tolerance.  The trajectory carries it and the Picard
 sweep count per step.  Every march checks its control with
 `check_control_layout`.
@@ -141,7 +142,7 @@ Pair = tuple[np.ndarray, np.ndarray]
 
 def coupled_fixed_point(
     sweep: Callable[[np.ndarray, np.ndarray], Pair], start: Pair, settings: PicardSettings,
-    cell_area: float, name: str, guard_blowup: bool = False,
+    cell_area: float, name: str, time_index: int, guard_blowup: bool = False,
 ) -> tuple[Pair, Pair, int]:
     """Iterate ``(a, b) <- sweep(a, b)`` from ``start`` to a fixed point.
 
@@ -155,7 +156,8 @@ def coupled_fixed_point(
     ------
     PicardDivergenceError
         On blow-up, or if ``settings.max_iters`` sweeps do not reach the
-        tolerance; ``name`` opens the message.
+        tolerance; ``name`` opens the message, which names the step
+        ``time_index`` the error also carries.
     """
     a_bar, b_bar = start
     if guard_blowup:
@@ -173,17 +175,17 @@ def coupled_fixed_point(
                 new_scale = max(norm_a, norm_b)
                 if not np.isfinite(new_scale) or new_scale > _BLOWUP_SCALE * start_scale:
                     raise PicardDivergenceError(
-                        f"{name} diverged at sweep {k} "
+                        f"{name} diverged at sweep {k} of step {time_index} "
                         f"(iterate scale grew by {new_scale / start_scale:.1e})",
-                        last_increment=float(increment),
+                        last_increment=float(increment), time_index=time_index,
                     )
         if increment < settings.tol:
             return (a_new, b_new), (a_bar, b_bar), k
         a_bar, b_bar = a_new, b_new
     raise PicardDivergenceError(
-        f"{name} stalled after {settings.max_iters} sweeps "
+        f"{name} stalled after {settings.max_iters} sweeps at step {time_index} "
         f"(last relative increment {increment:.3e})",
-        last_increment=increment,
+        last_increment=increment, time_index=time_index,
     )
 
 
@@ -220,11 +222,8 @@ def step_u(
     """
     area = grid.cell_area
     ubar_pos = np.maximum(u_bar, 0.0)
-    rhs = u_prev / tau + params.r * ubar_pos
-    if params.kappa != 0.0:
-        rhs = rhs - params.kappa * mesh.chemotaxis_divergence_arrays(
-            ubar_pos, v_new, grid.hx, grid.hy, scheme
-        )
+    rhs = u_prev / tau + params.r * ubar_pos - params.kappa * mesh.chemotaxis_divergence_arrays(
+        ubar_pos, v_new, grid.hx, grid.hy, scheme)
     int_source = 0.0
     if source is not None:
         rhs = rhs + source
@@ -322,12 +321,8 @@ def solve_forward(
             u_new = step_u(grid, u_prev, u_bar, v_new, params, tau, scheme, cg_tol, src_u, u_bar)
             return u_new, v_new
 
-        try:
-            (u_new, v[n + 1]), (u_bar, _), picard_iters[n] = coupled_fixed_point(
-                sweep, (u_prev, v_prev), settings, area, "fixed-point iteration", guard_blowup=True)
-        except PicardDivergenceError as err:
-            err.time_index = n
-            raise
+        (u_new, v[n + 1]), (u_bar, _), picard_iters[n] = coupled_fixed_point(
+            sweep, (u_prev, v_prev), settings, area, "fixed-point iteration", n, guard_blowup=True)
         # the mass identity with the u_bar_+ the accepted u solve froze
         ubar_pos = np.maximum(u_bar, 0.0)
         int_ubar = float(ubar_pos.sum()) * area

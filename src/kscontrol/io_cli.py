@@ -114,8 +114,6 @@ DEFAULTS: dict[str, object] = {
     "optimizer.armijo_shrink": 0.5,
     "optimizer.armijo_s0": 1.0,
     "optimizer.armijo_max_backtracks": 40,
-    "output.directory": "out",
-    "output.snapshot_every": 0,
 }
 
 
@@ -364,18 +362,18 @@ def build_problem(cfg: dict[str, object]) -> tuple[ControlProblem, OptimizeOptio
 # ---------------------------------------------------------------------------
 
 
-def _out_dir(args, cfg: dict[str, object]) -> Path:
-    out = Path(args.output) if args.output is not None else Path(str(cfg["output.directory"]))
+def _out_dir(args) -> Path:
+    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _march_and_monitor(args, cfg: dict[str, object], problem: ControlProblem):
+def _march_and_monitor(args, problem: ControlProblem):
     """March from the initial control, monitor it, write ``invariants.csv``."""
     state = solve_forward(problem.u0, problem.v0, problem.initial_control(), problem.params,
                           problem.time_grid, problem.picard, problem.scheme, problem.cg_tol)
     report = verify.monitor_invariants(state, problem.params)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     (out / "invariants.csv").write_text(report.to_csv())
     return state, report, out
 
@@ -383,19 +381,14 @@ def _march_and_monitor(args, cfg: dict[str, object], problem: ControlProblem):
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem = build_setup(cfg)
-    snapshot_every = args.snapshot_every
-    if snapshot_every is None:
-        snapshot_every = int(cfg["output.snapshot_every"])
-        if snapshot_every < 0:
-            raise ConfigError("output.snapshot_every", f"must be at least 0, got {snapshot_every}")
-    state, report, out = _march_and_monitor(args, cfg, problem)
+    state, report, out = _march_and_monitor(args, problem)
 
     nt = problem.time_grid.nt
     written = 1
-    if snapshot_every > 0:
+    if args.snapshot_every > 0:
         times = problem.time_grid.times()
         for n in range(nt + 1):
-            if n % snapshot_every == 0 or n == nt:
+            if n % args.snapshot_every == 0 or n == nt:
                 write_snapshot(out / f"u_{n:06d}.ksf", state.u[n], times[n])
                 write_snapshot(out / f"v_{n:06d}.ksf", state.v[n], times[n])
                 written += 2
@@ -420,7 +413,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_invariants(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem = build_setup(cfg)
-    _state, report, out = _march_and_monitor(args, cfg, problem)
+    _state, report, out = _march_and_monitor(args, problem)
 
     # Which failures falsify a guaranteed property, as opposed to one that
     # holds only under hypotheses this run does not satisfy?  The mass
@@ -454,6 +447,7 @@ def _cmd_adjoint(args) -> int:
     nt = problem.time_grid.nt
 
     grid = problem.u0.grid
+    times = problem.time_grid.times()
     u = np.empty((nt + 1, grid.nx, grid.ny))
     v = np.empty_like(u)
     for n in range(nt + 1):
@@ -465,8 +459,12 @@ def _cmd_adjoint(args) -> int:
                     "`ks-control simulate --snapshot-every 1` with the same "
                     "configuration first"
                 )
+            values, time = read_snapshot(path)
+            if not abs(time - times[n]) <= 1e-12 * abs(times[n]):
+                raise SnapshotFormatError(f"{path}: stamped t = {time!r}, but level {n} "
+                                          f"of this time grid is at t = {times[n]!r}")
             try:
-                stack[n] = Field2D(grid, read_snapshot(path)[0]).values
+                stack[n] = Field2D(grid, values).values
             except InvalidValue as err:
                 raise SnapshotFormatError(f"{path}: {err}") from None
 
@@ -475,8 +473,7 @@ def _cmd_adjoint(args) -> int:
                         problem.weights, problem.scheme, problem.cg_tol,
                         settings=problem.picard)
 
-    out = _out_dir(args, cfg)
-    times = problem.time_grid.times()
+    out = _out_dir(args)
     for n in range(nt + 1):
         write_snapshot(out / f"lam_{n:06d}.ksf", adj.lam[n], times[n])
         write_snapshot(out / f"eta_{n:06d}.ksf", adj.eta[n], times[n])
@@ -513,7 +510,7 @@ def _cmd_optimize(args) -> int:
         except InvalidValue as err:
             raise _UsageError(f"argument --start-scale: {err}") from None
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     best = None
     best_index = -1
     for k, f_start in enumerate(starts):
@@ -568,7 +565,7 @@ def _cmd_grad_check(args) -> int:
             f"direction {k}: analytic={analytic[k]:.10e} fd={fd[k]:.10e} "
             f"rel_error={rel:.3e}"
         )
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     (out / "grad_check.csv").write_text(
         verify.csv_table("direction,analytic,finite_difference,rel_error", rows))
     print(f"worst relative error {worst:.3e} (tolerance {args.tol:.3e})")
@@ -581,7 +578,7 @@ def _cmd_grad_check(args) -> int:
 def _cmd_mms(args) -> int:
     table = verify.mms_convergence(levels=args.levels, study=args.study,
                                    scheme=args.scheme)
-    out = _out_dir(args, DEFAULTS)
+    out = _out_dir(args)
     path = out / f"mms_{args.study}.csv"
     path.write_text(table.to_csv())
     for k, row in enumerate(table.rows):
@@ -632,8 +629,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="configuration file (key = value lines)")
     parser.add_argument("--set", action="append", default=[], dest="overrides",
                         metavar="KEY=VALUE", help="override one configuration key")
-    parser.add_argument("--output", default=None, metavar="DIR",
-                        help="directory for output files (default: output.directory)")
+    parser.add_argument("--output", default="out", metavar="DIR",
+                        help="directory for output files (default: out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -645,9 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the forward solver")
     _add_common(sim)
-    sim.add_argument("--snapshot-every", type=_COUNT, default=None, metavar="K",
-                     help="write u/v snapshots every K levels (0 = none; "
-                          "default: output.snapshot_every)")
+    sim.add_argument("--snapshot-every", type=_COUNT, default=0, metavar="K",
+                     help="write u/v snapshots every K levels (default: 0, none)")
 
     adj = sub.add_parser("adjoint", help="sweep the dual system along stored snapshots")
     _add_common(adj)
@@ -676,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(inv)
 
     mms = sub.add_parser("mms", help="manufactured-solution convergence study")
-    mms.add_argument("--output", default=DEFAULTS["output.directory"], metavar="DIR",
-                     help="directory for output files")
+    mms.add_argument("--output", default="out", metavar="DIR",
+                     help="directory for output files (default: out)")
     mms.add_argument("--study", choices=("spatial", "temporal"), default="spatial")
     mms.add_argument("--levels", type=_checked(int, lambda n: n >= 2, "at least 2"), default=3)
     mms.add_argument("--scheme", choices=("central", "upwind"), default="central")

@@ -156,6 +156,7 @@ def evaluate_cost(
     Tracking terms use the trapezoid rule over levels ``0 .. nt``; the
     control term uses the left-endpoint rule over levels ``0 .. nt-1``.
     """
+    targets.check_shape(state.u.shape)
     area = state.grid.cell_area
     j_u = j_v = 0.0
     if weights.gamma_u != 0.0:

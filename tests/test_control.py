@@ -4,7 +4,7 @@ variational-inequality residual."""
 import numpy as np
 import pytest
 
-from kscontrol.adjoint import AdjointTrajectory
+from kscontrol.adjoint import AdjointTrajectory, solve_adjoint
 from kscontrol.control import (
     AdmissibleSet,
     ControlField,
@@ -17,9 +17,10 @@ from kscontrol.control import (
     require_well_posed,
     vi_residual,
 )
-from kscontrol.errors import GridMismatchError
-from kscontrol.forward import StateTrajectory, TimeGrid
+from kscontrol.errors import GridMismatchError, InvalidValue
+from kscontrol.forward import ModelParams, StateTrajectory, TimeGrid
 from kscontrol.mesh import GridSpec, RegionMask, constant_field
+from kscontrol.optimize import evaluate_cost
 
 GRID = GridSpec(Lx=1.0, Ly=1.0, nx=8, ny=8)
 TG = TimeGrid(T=1.0, nt=10)
@@ -87,6 +88,33 @@ def test_tracking_targets_indexing():
     np.testing.assert_array_equal(arrays.v_d, per_level.v_d)
     with pytest.raises(ValueError, match="one field per level"):
         TrackingTargets(np.zeros(4), np.zeros((GRID.nx, GRID.ny)))
+
+
+@pytest.mark.parametrize("name", ["u_d", "v_d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tracking_targets_reject_non_finite_values(name, bad):
+    fields = {"u_d": np.full((GRID.nx, GRID.ny), 0.5), "v_d": np.full((GRID.nx, GRID.ny), 0.5)}
+    fields[name][3, 4] = bad
+    with pytest.raises(InvalidValue, match="finite") as exc:
+        TrackingTargets(**fields)
+    assert exc.value.field == name
+
+
+@pytest.mark.parametrize("name", ["u_d", "v_d"])
+@pytest.mark.parametrize("shape", [(8, 1), (1, 8), (1, 1), (TG.nt, 8, 8)])
+def test_cost_and_dual_reject_targets_that_only_broadcast(name, shape):
+    # a target is one (nx, ny) field or one per level, never a partial broadcast
+    levels = np.full((TG.nt + 1, GRID.nx, GRID.ny), 0.5)
+    state = StateTrajectory(TG, GRID, levels, levels.copy())
+    fields = {"u_d": np.full((GRID.nx, GRID.ny), 0.4), "v_d": np.full((GRID.nx, GRID.ny), 0.6)}
+    fields[name] = np.full(shape, 0.4)
+    targets = TrackingTargets(**fields)
+    f = ControlField.zeros(TG, REGION)
+    weights = CostWeights(1.0, 1.0, 1e-3)
+    with pytest.raises(ValueError, match=f"target {name} has shape"):
+        evaluate_cost(state, f, targets, weights, 2.1)
+    with pytest.raises(ValueError, match=f"target {name} has shape"):
+        solve_adjoint(state, f, targets, ModelParams(kappa=1.0, r=1.0, mu=1.0), weights)
 
 
 # ----------------------------------------------------------------------

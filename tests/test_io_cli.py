@@ -533,8 +533,11 @@ def test_cli_simulate_writes_invariants_and_snapshots(base_cfg, tmp_path, capsys
 def test_cli_simulate_rejects_negative_snapshot_cadence(base_cfg, capsys):
     assert run(["simulate", "--config", base_cfg, "--snapshot-every", "-1"]) == 1
     capsys.readouterr()
+    # the cadence is a flag only; the retired config key is unknown
     assert run(["simulate", "--config", base_cfg,
                 "--set", "output.snapshot_every=-2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: output.snapshot_every: unknown configuration key"]
 
 
 def test_cli_solver_failure_exits_two(base_cfg, capsys):
@@ -542,7 +545,8 @@ def test_cli_solver_failure_exits_two(base_cfg, capsys):
               "--set", "forward.picard_tol=1e-15",
               "--set", "forward.picard_max_iters=1"])
     assert rc == 2
-    assert "solver error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver error" in err and "at step 0" in err
 
 
 def test_cli_adjoint_requires_snapshots(base_cfg, tmp_path, capsys):
@@ -565,6 +569,28 @@ def test_cli_adjoint_rejects_non_finite_snapshots(base_cfg, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "non-finite" in err[0]
+
+
+@pytest.mark.parametrize("case", ["other-final-time", "shifted-stamp"])
+def test_cli_adjoint_rejects_snapshots_of_another_time_grid(case, base_cfg, tmp_path, capsys):
+    state_dir = tmp_path / "state"
+    assert run(["simulate", "--config", base_cfg, "--output", str(state_dir),
+                "--snapshot-every", "1"]) == 0
+    extra = []
+    bad = state_dir / "u_000001.ksf"  # level 0 sits at t = 0 on every grid
+    if case == "other-final-time":
+        extra = ["--set", "time.T=0.4"]
+    else:
+        bad = state_dir / "v_000003.ksf"
+        values, time = read_snapshot(bad)
+        write_snapshot(bad, values, time * (1.0 + 1e-9))
+    capsys.readouterr()
+    rc = run(["adjoint", "--config", base_cfg, *extra, "--state-dir", str(state_dir),
+              "--output", str(tmp_path / "dual")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: stamped t = ")
+    assert not (tmp_path / "dual").exists()
 
 
 def test_cli_adjoint_round_trip(base_cfg, tmp_path):

@@ -5,11 +5,14 @@
 Runs the R1 configuration of ``tests/test_acceptance.py`` through
 ``kscontrol.run`` in this process, once per command:
 
-    simulate    --snapshot-every 1, with central and with upwind fluxes
+    simulate    --snapshot-every 1, with central and with upwind fluxes,
+                and with model.kappa=0
     invariants  with upwind fluxes
-    adjoint     along each simulate run's snapshots, with its fluxes
+    adjoint     along each simulate run's snapshots, with its fluxes and
+                kappa; and along the central run with cost.gamma_v=0
     optimize    --seed 11 with 1 and 3 starts, unconstrained and as a box
-    grad-check  with central and with upwind fluxes
+    grad-check  with central and with upwind fluxes, and with
+                model.kappa=0 and cost.gamma_u=0
     mms         --levels 2, spatial and temporal
 
 Each command runs in ``OUTDIR/<name>/`` with relative paths, so nothing in
@@ -39,15 +42,21 @@ from pathlib import Path
 
 BOX = ["--set", "control.kind=box", "--set", "control.f_min=-1", "--set", "control.f_max=1"]
 UPWIND = ["--set", "forward.scheme=upwind"]
+KAPPA0 = ["--set", "model.kappa=0"]
 
 # name -> arguments after the command word; "../run.cfg" is the R1 config
 COMMANDS = {
     "simulate": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1"],
     "simulate-upwind": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1", *UPWIND],
+    "simulate-kappa0": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1", *KAPPA0],
     "invariants-upwind": ["invariants", "--config", "../run.cfg", *UPWIND],
     "adjoint": ["adjoint", "--config", "../run.cfg", "--state-dir", "../simulate/files"],
     "adjoint-upwind": ["adjoint", "--config", "../run.cfg",
                        "--state-dir", "../simulate-upwind/files", *UPWIND],
+    "adjoint-kappa0": ["adjoint", "--config", "../run.cfg",
+                       "--state-dir", "../simulate-kappa0/files", *KAPPA0],
+    "adjoint-gamma0": ["adjoint", "--config", "../run.cfg", "--state-dir", "../simulate/files",
+                       "--set", "cost.gamma_v=0"],
     "optimize-1": ["optimize", "--config", "../run.cfg", "--seed", "11"],
     "optimize-3": ["optimize", "--config", "../run.cfg", "--seed", "11", "--starts", "3"],
     "optimize-box-1": ["optimize", "--config", "../run.cfg", "--seed", "11", *BOX],
@@ -55,6 +64,8 @@ COMMANDS = {
                        *BOX],
     "grad-check": ["grad-check", "--config", "../run.cfg"],
     "grad-check-upwind": ["grad-check", "--config", "../run.cfg", *UPWIND],
+    "grad-check-kappa0": ["grad-check", "--config", "../run.cfg", *KAPPA0,
+                          "--set", "cost.gamma_u=0"],
     "mms": ["mms", "--levels", "2"],
     "mms-temporal": ["mms", "--study", "temporal", "--levels", "2"],
 }
