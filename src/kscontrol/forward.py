@@ -272,6 +272,7 @@ def solve_forward(
     cg_tol: float = DEFAULT_CG_TOL,
     source_u: Optional[np.ndarray] = None,
     source_v: Optional[np.ndarray] = None,
+    on_level: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
 ) -> StateTrajectory:
     """March the coupled system from ``(u0, v0)`` to the final time.
 
@@ -287,6 +288,10 @@ def solve_forward(
     source_u, source_v : ndarray, optional
         Extra right-hand sides, shape ``(nt, nx, ny)``: entry ``n`` enters
         the step to level ``n + 1`` (used by manufactured-solution studies).
+    on_level : callable, optional
+        Called as ``on_level(n, u[n], v[n])`` before the step that leaves
+        level ``n``, for ``n = 0 .. nt-1``; an exception it raises ends the
+        march (the optimizer's line search stops a trial this way).
 
     Returns
     -------
@@ -312,6 +317,8 @@ def solve_forward(
 
     area = grid.cell_area
     for n in range(nt):
+        if on_level is not None:
+            on_level(n, u[n], v[n])
         u_prev, v_prev, f_now = u[n], v[n], control.array_at(n)
         src_u = None if source_u is None else source_u[n]
         src_v = None if source_v is None else source_v[n]

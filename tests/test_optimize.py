@@ -4,24 +4,28 @@ import numpy as np
 import pytest
 
 from kscontrol import optimize
-from kscontrol.adjoint import solve_adjoint
+from kscontrol.adjoint import check_dual_definite, solve_adjoint
 from kscontrol.control import (
     AdmissibleSet,
     ControlField,
     CostWeights,
     TrackingTargets,
+    qc_norm,
     reduced_gradient,
+    vi_residual,
 )
+from kscontrol.errors import LinearSolverError, PicardDivergenceError, StepConditioningError
 from kscontrol.forward import (
     ModelParams,
     PicardSettings,
     StateTrajectory,
     TimeGrid,
 )
-from kscontrol.mesh import GridSpec, RegionMask, constant_field, field_from_function
+from kscontrol.mesh import Field2D, GridSpec, RegionMask, constant_field, field_from_function
 from kscontrol.optimize import (
     ArmijoSettings,
     ControlProblem,
+    CostAboveCeiling,
     OptimizeOptions,
     cost_of_control,
     evaluate_cost,
@@ -233,18 +237,186 @@ def test_a_trial_that_clipping_repeats_is_not_marched_again(monkeypatch):
     problem = _trial_crash_problem()
     marched = []
 
-    def counting_cost_of_control(problem, f):
+    def counting_cost_of_control(problem, f, ceiling=None):
         marched.append(f.values.tobytes())
-        return cost_of_control(problem, f)
+        return cost_of_control(problem, f, ceiling)
 
     monkeypatch.setattr(optimize, "cost_of_control", counting_cost_of_control)
     report = solve(problem, OptimizeOptions(max_iters=20, armijo=ArmijoSettings(s0=1e4)))
     assert all(a != b for a, b in zip(marched, marched[1:]))
-    # the report still counts every trial: the initial march, each accepted
-    # search, and the last search's 41 rejections; 144 of those 511 trials repeat
-    assert report.reason == "line_search_failure"
-    assert 1 + sum(rec.backtracks + 1 for rec in report.iterates[1:]) + 41 == 511
-    assert len(marched) == 511 - 144
+    # the report still counts every trial: the initial march and each
+    # accepted search; 10 of those 79 trials repeat and are not marched
+    assert report.reason == "max_iters"
+    trials = 1 + sum(rec.backtracks + 1 for rec in report.iterates[1:])
+    assert trials == 79 and len(marched) == 69
+    assert len(marched) == 1 + sum(rec.trial_marches for rec in report.iterates)
+    assert len(marched) < trials
+
+
+def _search_steps(monkeypatch):
+    """Patch `optimize` to record, per search, the step of each marched trial
+    (unconstrained: read back from ``f - s d``, exact up to rounding)."""
+    searches = []
+
+    def recording_gradient(problem, f, state):
+        d = gradient_of_control(problem, f, state)
+        searches.append((f.values, d.values, []))
+        return d
+
+    def recording_cost(problem, f, ceiling=None):
+        if ceiling is not None:  # a trial, not the initial march
+            f_now, d, steps = searches[-1]
+            steps.append(np.vdot(f_now - f.values, d) / np.vdot(d, d))
+        return cost_of_control(problem, f, ceiling)
+
+    monkeypatch.setattr(optimize, "gradient_of_control", recording_gradient)
+    monkeypatch.setattr(optimize, "cost_of_control", recording_cost)
+    return searches
+
+
+def test_each_search_starts_next_to_the_step_the_last_one_accepted(monkeypatch):
+    # s0 far too long: the first search backtracks from s0, every later one
+    # starts at min(s_accepted / shrink, s0), not at s0 again
+    arm = ArmijoSettings(s0=1e4)
+    searches = _search_steps(monkeypatch)
+    report = solve(_tracking_problem(), OptimizeOptions(max_iters=6, vi_tol=1e-12, armijo=arm))
+    assert report.reason == "max_iters"
+    accepted = [rec.step_size for rec in report.iterates[1:]]
+    steps = [trials for _, _, trials in searches[:len(accepted)]]
+    expected = [arm.s0] + [min(s / arm.shrink, arm.s0) for s in accepted[:-1]]
+    assert any(first < arm.s0 for first in expected[1:])
+    np.testing.assert_allclose([trials[0] for trials in steps], expected, rtol=1e-9)
+    for trials, rec in zip(steps, report.iterates[1:]):
+        assert len(trials) == rec.trial_marches == rec.backtracks + 1
+        np.testing.assert_allclose(trials, trials[0] * arm.shrink ** np.arange(len(trials)),
+                                   rtol=1e-9)
+        assert trials[-1] == pytest.approx(rec.step_size, rel=1e-9)
+
+
+def _reference_solve(problem, opts):
+    """`solve`'s search with every trial marched to the end: the same warm
+    start and clipped-repeat rule, decided on the full cost only."""
+    arm, lo, hi = opts.armijo, problem.admissible.f_min, problem.admissible.f_max
+    f = problem.initial_control()
+    state, cost = cost_of_control(problem, f)
+    records, step, backtracks, marches = [], 0.0, 0, 0
+    for iteration in range(opts.max_iters + 1):
+        d = gradient_of_control(problem, f, state)
+        res = vi_residual(f, d, problem.admissible)
+        records.append((iteration, cost, res, step, backtracks, marches))
+        if res <= opts.vi_tol or iteration == opts.max_iters:
+            break
+        s = min(step / arm.shrink, arm.s0) if iteration else arm.s0
+        previous, marches = b"", 0
+        for backtracks in range(arm.max_backtracks + 1):
+            vals = np.clip(f.values - s * d.values, lo, hi)
+            if vals.tobytes() != previous:
+                previous = vals.tobytes()
+                marches += 1
+                trial = ControlField(f.time_grid, f.region, vals)
+                try:
+                    trial_state, trial_cost = cost_of_control(problem, trial)
+                    check_dual_definite(trial_state.u[1:], vals, problem.params,
+                                        problem.time_grid.tau)
+                except (StepConditioningError, PicardDivergenceError, LinearSolverError):
+                    pass
+                else:
+                    decrease = arm.c1 / s * qc_norm(f.values - vals, f) ** 2
+                    if trial_cost.j_total <= cost.j_total - decrease:
+                        break
+            s *= arm.shrink
+        else:
+            return records, f, "line_search_failure"
+        f, state, cost, step = trial, trial_state, trial_cost, s
+    return records, f, "vi_tol" if res <= opts.vi_tol else "max_iters"
+
+
+def _inverse_crime_problem(n, nt, T, picard=PicardSettings(), cg_tol=None):
+    """Targets marched from a known control on the box [-2, 2], as in the
+    O1 acceptance problem and the optimize-12 benchmark workload."""
+    grid = GridSpec(1.0, 1.0, n, n)
+    tg = TimeGrid(T=T, nt=nt)
+    region = RegionMask.rectangle(grid, 0.25, 0.25, 0.75, 0.75)
+    X, Y = grid.cell_centers()
+    u0 = Field2D(grid, 0.6 + 0.2 * np.cos(np.pi * X) * np.cos(np.pi * Y))
+    v0 = Field2D(grid, 0.5 + 0.15 * np.cos(np.pi * Y))
+    params = ModelParams(kappa=0.9, r=0.8, mu=1.5)
+    Xc, Yc = X[region.inside], Y[region.inside]
+    t = tg.times()[:nt]
+    f_star = ControlField(tg, region, 1.5 * np.outer(
+        1.0 + 0.3 * np.cos(np.pi * t / T),
+        np.cos(np.pi * (Xc - 0.5)) * np.cos(np.pi * (Yc - 0.5))))
+    tol = {} if cg_tol is None else {"cg_tol": cg_tol}
+    probe = ControlProblem(u0=u0, v0=v0, targets=TrackingTargets(u0, v0), params=params,
+                           weights=CostWeights(), admissible=AdmissibleSet(), region=region,
+                           time_grid=tg, picard=picard, **tol)
+    star = cost_of_control(probe, f_star)[0]
+    return ControlProblem(
+        u0=u0, v0=v0, targets=TrackingTargets(star.u, star.v), params=params,
+        weights=CostWeights(1.0, 1.0, 1e-6), admissible=AdmissibleSet("box", -2.0, 2.0),
+        region=region, time_grid=tg, picard=picard, **tol,
+    )
+
+
+@pytest.mark.parametrize("case", ["trial-crash", "inverse-crime-8"])
+def test_stopping_trial_marches_early_changes_no_decision(case):
+    # a march stopped by its running cost is one the full march rejects too,
+    # so the reports agree bit for bit with the search that marches every trial
+    if case == "trial-crash":
+        problem = _trial_crash_problem()
+        opts = OptimizeOptions(max_iters=20, armijo=ArmijoSettings(s0=1e4))
+    else:
+        problem = _inverse_crime_problem(8, 8, 0.25, PicardSettings(tol=1e-12, max_iters=200),
+                                         cg_tol=1e-12)
+        opts = OptimizeOptions(max_iters=12, vi_tol=1e-5, armijo=ArmijoSettings(s0=2e4))
+    report = solve(problem, opts)
+    records, f, reason = _reference_solve(problem, opts)
+    assert report.reason == reason
+    assert [(r.iteration, r.cost, r.vi_residual, r.step_size, r.backtracks, r.trial_marches)
+            for r in report.iterates] == records
+    assert report.final_control.values.tobytes() == f.values.tobytes()
+    nt = problem.time_grid.nt
+    assert all(r.trial_levels <= nt * r.trial_marches for r in report.iterates)
+
+
+def test_trial_marches_stop_once_their_cost_proves_rejection():
+    # the optimize-12 benchmark set-up, where most searches reject trials:
+    # those marches stop before their last level
+    problem = _inverse_crime_problem(12, 8, 0.25)
+    report = solve(problem, OptimizeOptions(max_iters=100, vi_tol=3e-5,
+                                            armijo=ArmijoSettings(s0=2e4)))
+    assert report.reason == "vi_tol"
+    marches = sum(r.trial_marches for r in report.iterates)
+    levels = sum(r.trial_levels for r in report.iterates)
+    assert levels < problem.time_grid.nt * marches
+
+
+def test_cost_of_control_with_a_ceiling_stops_at_the_first_costlier_level():
+    problem = _tracking_problem()
+    nt = problem.time_grid.nt
+    f = ControlField.from_constant(problem.time_grid, problem.region, 0.3)
+    state, cost = cost_of_control(problem, f)
+    running = optimize.RunningCost(problem.targets, problem.weights, problem.time_grid,
+                                   state.grid, cost.j_f)
+    partial = []  # the cost of levels 0 .. n
+    for n in range(nt + 1):
+        running.add(n, state.u[n], state.v[n])
+        partial.append(running.breakdown().j_total)
+    assert partial[-1] == cost.j_total
+    assert all(a < b for a, b in zip(partial, partial[1:]))
+    # a ceiling equal to the cost of levels 0 .. k stops the march before step k + 1
+    for k in range(nt - 1):
+        with pytest.raises(CostAboveCeiling) as stopped:
+            cost_of_control(problem, f, partial[k])
+        assert stopped.value.time_index == k + 1
+    # the last level is never checked: the march ends with the full cost
+    for ceiling in (partial[nt - 1], cost.j_total, np.inf):
+        capped_state, capped = cost_of_control(problem, f, ceiling)
+        assert capped == cost
+        assert capped_state.u.tobytes() == state.u.tobytes()
+    with pytest.raises(CostAboveCeiling) as at_once:
+        cost_of_control(problem, f, -1.0)
+    assert at_once.value.time_index == 0
 
 
 def test_solve_hits_iteration_cap():

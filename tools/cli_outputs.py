@@ -10,7 +10,8 @@ Runs the R1 configuration of ``tests/test_acceptance.py`` through
     invariants  with upwind fluxes
     adjoint     along each simulate run's snapshots, with its fluxes and
                 kappa; and along the central run with cost.gamma_v=0
-    optimize    --seed 11 with 1 and 3 starts, unconstrained and as a box
+    optimize    --seed 11 with 1 and 3 starts, unconstrained and as a box;
+                and with optimizer.armijo_s0=16, whose searches backtrack
     grad-check  with central and with upwind fluxes, and with
                 model.kappa=0 and cost.gamma_u=0
     mms         --levels 2, spatial and temporal
@@ -62,6 +63,8 @@ COMMANDS = {
     "optimize-box-1": ["optimize", "--config", "../run.cfg", "--seed", "11", *BOX],
     "optimize-box-3": ["optimize", "--config", "../run.cfg", "--seed", "11", "--starts", "3",
                        *BOX],
+    "optimize-backtrack": ["optimize", "--config", "../run.cfg", "--seed", "11",
+                           "--set", "optimizer.armijo_s0=16"],
     "grad-check": ["grad-check", "--config", "../run.cfg"],
     "grad-check-upwind": ["grad-check", "--config", "../run.cfg", *UPWIND],
     "grad-check-kappa0": ["grad-check", "--config", "../run.cfg", *KAPPA0,
