@@ -136,7 +136,7 @@ def solve_adjoint(
     """
     grid = state.grid
     check_control_layout(control, grid, state.time_grid)
-    targets.check_shape(state.u.shape)
+    u_d, v_d = targets.levels(state.u.shape)
     nt = state.time_grid.nt
     tau = state.time_grid.tau
     inv_tau = 1.0 / tau
@@ -144,8 +144,6 @@ def solve_adjoint(
     level_weights = state.time_grid.trapezoid_weights()
     lam = np.zeros((nt + 1, grid.nx, grid.ny))
     eta = np.zeros((nt + 1, grid.nx, grid.ny))
-    u_d = np.broadcast_to(targets.u_d, state.u.shape)
-    v_d = np.broadcast_to(targets.v_d, state.v.shape)
 
     for m in range(nt - 1, -1, -1):
         # coefficients frozen at level m+1, tracking sources with its weight

@@ -137,14 +137,15 @@ class TrackingTargets:
             require(np.all(np.isfinite(values)), name, f"the target {name} must be finite")
             setattr(self, name, values)
 
-    def check_shape(self, levels: tuple[int, int, int]) -> None:
-        """Raise `ValueError` unless each target is one field, shape ``levels[1:]``,
-        or one field per level, shape ``levels``: a trajectory's ``(nt + 1, nx, ny)``."""
+    def levels(self, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """``(u_d, v_d)`` as read-only views of a trajectory's ``shape``; raise
+        `ValueError` unless each is one field or one field per level."""
         for name in ("u_d", "v_d"):
-            shape = getattr(self, name).shape
-            if shape not in (levels, levels[1:]):
-                raise ValueError(f"target {name} has shape {shape}; "
-                                 f"expected {levels[1:]} or {levels}")
+            got = getattr(self, name).shape
+            if got not in (shape, shape[1:]):
+                raise ValueError(f"target {name} has shape {got}; "
+                                 f"expected {shape[1:]} or {shape}")
+        return np.broadcast_to(self.u_d, shape), np.broadcast_to(self.v_d, shape)
 
 
 def project(f: ControlField, admissible: AdmissibleSet) -> ControlField:
@@ -160,17 +161,21 @@ def qc_weight(f: ControlField) -> float:
 
 
 def qc_norm(values: np.ndarray, f: ControlField) -> float:
-    """Discrete L2 norm over the control cylinder for control-shaped arrays."""
-    return float(np.sqrt(np.sum(values * values) * qc_weight(f)))
+    """Discrete L2 norm over the control cylinder for control-shaped arrays
+    (``inf`` once the squares overflow)."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(values * values) * qc_weight(f)))
 
 
 def control_cost(f: ControlField, gamma_f: float, p: float) -> float:
-    """Regularization term ``(gamma_f / p) * sum |f|^p`` over the cylinder."""
+    """Regularization term ``(gamma_f / p) * sum |f|^p`` over the cylinder
+    (``inf`` once the powers overflow)."""
     if gamma_f < 0:
         raise ValueError("gamma_f must be nonnegative")
     if gamma_f == 0.0:
         return 0.0
-    return gamma_f / p * float(np.sum(np.abs(f.values) ** p)) * qc_weight(f)
+    with np.errstate(over="ignore"):
+        return gamma_f / p * float(np.sum(np.abs(f.values) ** p)) * qc_weight(f)
 
 
 def reduced_gradient(

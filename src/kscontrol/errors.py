@@ -36,12 +36,15 @@ class LinearSolverError(KSControlError):
     """An inner linear solve did not reach its residual target.
 
     Carries the achieved relative residual so callers can report how far
-    off the solve was.
+    off the solve was; ``time_index`` is the step of the march whose sweep
+    made the solve (None outside a march).
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, time_index: int | None = None):
         super().__init__(f"{message} (relative residual {residual:.3e})")
+        self.message = message
         self.residual = residual
+        self.time_index = time_index
 
 
 class PicardDivergenceError(KSControlError):

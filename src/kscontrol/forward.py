@@ -16,12 +16,12 @@ sweep: the sweep freezes the positive parts of the previous iterate pair,
 solves the ``v`` equation (`step_v`), then the ``u`` equation (`step_u`),
 both shifted Laplacians handed to `kscontrol.linalg.solve_shifted`.  The
 dual and linearized marches in `kscontrol.adjoint` reuse the same loop and
-the same solve; the loop alone raises `PicardDivergenceError`, naming the
-step it was given.  At convergence the step is fully implicit.  Freezing
-*positive parts* rather than raw iterates keeps every lagged coefficient
-nonnegative, which is what makes the two matrices positive definite and
-(with the upwind flux) the step nonnegativity-preserving for nonnegative
-data.
+the same solve; the loop alone raises `PicardDivergenceError`, and raises
+a sweep's `LinearSolverError` again, each naming the step it was given.
+At convergence the step is fully implicit.  Freezing *positive parts*
+rather than raw iterates keeps every lagged coefficient nonnegative, which
+is what makes the two matrices positive definite and (with the upwind
+flux) the step nonnegativity-preserving for nonnegative data.
 
 Summing the ``u`` update over all cells eliminates the divergence terms
 exactly (conservative stencils), leaving the discrete mass identity
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg, mesh
 from .control import ControlField
-from .errors import PicardDivergenceError, require
+from .errors import LinearSolverError, PicardDivergenceError, require
 from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, GridSpec, Scheme
 
@@ -158,6 +158,9 @@ def coupled_fixed_point(
         On blow-up, or if ``settings.max_iters`` sweeps do not reach the
         tolerance; ``name`` opens the message, which names the step
         ``time_index`` the error also carries.
+    LinearSolverError
+        If a solve inside a sweep fails: raised again with ``name``, the
+        sweep and the step opening its message, carrying ``time_index``.
     """
     a_bar, b_bar = start
     if guard_blowup:
@@ -165,7 +168,11 @@ def coupled_fixed_point(
                           mesh.l2_norm_array(b_bar, cell_area), 1.0)
     increment = np.inf
     for k in range(1, settings.max_iters + 1):
-        a_new, b_new = sweep(a_bar, b_bar)
+        try:
+            a_new, b_new = sweep(a_bar, b_bar)
+        except LinearSolverError as err:
+            raise LinearSolverError(f"{name} at sweep {k} of step {time_index}: {err.message}",
+                                    err.residual, time_index) from err
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a blow-up
             norm_a = mesh.l2_norm_array(a_new, cell_area)
             norm_b = mesh.l2_norm_array(b_new, cell_area)

@@ -160,18 +160,23 @@ def _divergence(fx: np.ndarray, fy: np.ndarray, hx: float, hy: float) -> np.ndar
 def _face_weights(gx: np.ndarray, gy: np.ndarray, scheme: Scheme):
     """Left/bottom cell weight per interior face; right/top weight is 1-w.
 
-    Central: arithmetic mean.  Upwind: full weight to the cell the face
-    gradient of v points away from (the donor for flux ``u * grad v``).
+    Central: arithmetic mean, one scalar for every face.  Upwind: full
+    weight to the cell the face gradient of v points away from (the donor
+    for flux ``u * grad v``).
     """
     if scheme == "central":
-        wx = np.full_like(gx, 0.5)
-        wy = np.full_like(gy, 0.5)
+        wx = wy = 0.5
     elif scheme == "upwind":
         wx = (gx > 0.0).astype(float)
         wy = (gy > 0.0).astype(float)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return wx, wy
+
+
+def _face_average(c: np.ndarray, wx, wy):
+    """``c`` on the interior x- and y-faces, weighted by `_face_weights`."""
+    return wx * c[:-1, :] + (1.0 - wx) * c[1:, :], wy * c[:, :-1] + (1.0 - wy) * c[:, 1:]
 
 
 def chemotaxis_divergence_arrays(
@@ -184,11 +189,8 @@ def chemotaxis_divergence_arrays(
     pattern by passing the base state as ``v``.
     """
     gx, gy = _face_gradients(v, hx, hy)
-    wx, wy = _face_weights(gx, gy, scheme)
-
-    fx = (wx * u[:-1, :] + (1.0 - wx) * u[1:, :]) * gx
-    fy = (wy * u[:, :-1] + (1.0 - wy) * u[:, 1:]) * gy
-    return _divergence(fx, fy, hx, hy)
+    ux, uy = _face_average(u, *_face_weights(gx, gy, scheme))
+    return _divergence(ux * gx, uy * gy, hx, hy)
 
 
 def chemotaxis_adjoint_arrays(
@@ -226,10 +228,7 @@ def weighted_diffusion_arrays(
     dual equation.
     """
     sx, sy = _face_gradients(ref, hx, hy)
-    wx, wy = _face_weights(sx, sy, scheme)
-    cx = wx * coeff[:-1, :] + (1.0 - wx) * coeff[1:, :]
-    cy = wy * coeff[:, :-1] + (1.0 - wy) * coeff[:, 1:]
-
+    cx, cy = _face_average(coeff, *_face_weights(sx, sy, scheme))
     fx = cx * (phi[1:, :] - phi[:-1, :]) / hx
     fy = cy * (phi[:, 1:] - phi[:, :-1]) / hy
     return _divergence(fx, fy, hx, hy)

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, check_dual_definite, solve_adjoint
+from .adjoint import AdjointTrajectory, solve_adjoint
 from .errors import (
     KSControlError,
     LinearSolverError,
@@ -167,7 +167,8 @@ class OptimizeReport:
 
 class RunningCost:
     """The discrete cost summed one level at a time: the only owner of its
-    arithmetic, for `evaluate_cost` and for a march in progress alike.
+    arithmetic, for `evaluate_cost` on a stored trajectory and for
+    `cost_of_control` on a march in progress.
 
     `add` puts level ``n``'s trapezoid term of each tracking integral into
     its running sum, in level order; `breakdown` scales the sums by their
@@ -178,18 +179,18 @@ class RunningCost:
 
     def __init__(self, targets: TrackingTargets, weights: CostWeights,
                  time_grid: TimeGrid, grid: GridSpec, j_f: float):
-        targets.check_shape((time_grid.nt + 1, grid.nx, grid.ny))
-        self.targets, self.weights, self.j_f = targets, weights, j_f
+        self.targets = targets.levels((time_grid.nt + 1, grid.nx, grid.ny))
+        self.weights, self.j_f = weights, j_f
         self.tau, self.cell_area = time_grid.tau, grid.cell_area
         self.level_weights = time_grid.trapezoid_weights()
         self.sums = [0.0, 0.0]  # u, v
 
     def add(self, n: int, u_n: np.ndarray, v_n: np.ndarray) -> None:
-        w, t = self.weights, self.targets
-        for i, (gamma, level, target) in enumerate(((w.gamma_u, u_n, t.u_d),
-                                                     (w.gamma_v, v_n, t.v_d))):
+        (u_d, v_d), w = self.targets, self.weights
+        for i, (gamma, level, target) in enumerate(((w.gamma_u, u_n, u_d),
+                                                     (w.gamma_v, v_n, v_d))):
             if gamma != 0.0:  # a zero weight skips its term and the level's temporary
-                d = level - (target if target.ndim == 2 else target[n])
+                d = level - target[n]
                 s = float(np.sum(d * d))
                 self.sums[i] += self.level_weights[n] * self.tau * s * self.cell_area
 
@@ -227,30 +228,30 @@ def evaluate_cost(
 
 
 def cost_of_control(problem: ControlProblem, f: ControlField,
-                    ceiling: Optional[float] = None) -> tuple[StateTrajectory, CostBreakdown]:
-    """Forward solve followed by cost evaluation (the map the optimizer samples).
+                    ceiling: float = np.inf) -> tuple[StateTrajectory, CostBreakdown]:
+    """Forward solve and its cost (the map the optimizer samples), summed
+    by one `RunningCost` as the march reaches each level.
 
-    With a ``ceiling``, the march keeps a `RunningCost` and raises
-    `CostAboveCeiling` before the first step at which the levels so far
-    already cost more: the full cost would then exceed it too.
+    The march raises `CostAboveCeiling` before the first step at which the
+    levels so far already cost more than ``ceiling``: the full cost would
+    then exceed it too.  Level ``nt`` is added after the march.
     """
-    on_level = None
-    if ceiling is not None:
-        running = RunningCost(problem.targets, problem.weights, problem.time_grid,
-                              problem.u0.grid, control_cost(f, problem.weights.gamma_f,
-                                                            problem.params.p_exponent))
+    running = RunningCost(problem.targets, problem.weights, problem.time_grid,
+                          problem.u0.grid, control_cost(f, problem.weights.gamma_f,
+                                                        problem.params.p_exponent))
 
-        def on_level(n: int, u_n: np.ndarray, v_n: np.ndarray) -> None:
-            running.add(n, u_n, v_n)
-            if running.breakdown().j_total > ceiling:
-                raise CostAboveCeiling(n)
+    def on_level(n: int, u_n: np.ndarray, v_n: np.ndarray) -> None:
+        running.add(n, u_n, v_n)
+        if running.breakdown().j_total > ceiling:
+            raise CostAboveCeiling(n)
 
     state = solve_forward(
         problem.u0, problem.v0, f, problem.params, problem.time_grid,
         problem.picard, problem.scheme, cg_tol=problem.cg_tol, on_level=on_level,
     )
-    return state, evaluate_cost(state, f, problem.targets, problem.weights,
-                                problem.params.p_exponent)
+    nt = problem.time_grid.nt
+    running.add(nt, state.u[nt], state.v[nt])
+    return state, running.breakdown()
 
 
 def gradient_of_control(problem: ControlProblem, f: ControlField,
@@ -307,25 +308,25 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     size, backtracks and the search's marches and levels per iteration)
     together with the final control.  The cost sequence is strictly
     decreasing: a step is accepted only with sufficient decrease
-    proportional to the squared projected step.  The first search starts
-    at ``s0``, each later one at ``min(s_accepted / shrink, s0)`` from the
-    step the previous search accepted.  Trial controls the forward solver
-    cannot march (its fixed point diverges, or a linear solve fails) or
-    whose march the next dual sweep cannot take (`check_dual_definite` on
-    levels ``1 .. nt``) are rejected exactly like insufficient-decrease
-    trials; a trial that clipping leaves bit for bit equal to the one
-    rejected before it is rejected without a march, and a trial march stops
-    at the first level by which its running cost proves the rejection
-    (`cost_of_control` with a ceiling), so every decision is the one the
-    full march gives.  If the line search exhausts its backtracks the best
-    iterate so far is returned with ``reason = "line_search_failure"``.
-    Only solving needs a minimizer to exist: `require_well_posed` raises
-    `ValueError` before the first march.
+    proportional to the squared projected step, and with its gradient.
+    The first search starts at ``s0``, each later one at
+    ``min(s_accepted / shrink, s0)`` from the step the previous search
+    accepted.  Each trial asks each solver once: `cost_of_control` marches
+    it under the Armijo ceiling, stopping at the first level whose running
+    cost proves the rejection, and a trial that passes takes its dual sweep
+    (`gradient_of_control`).  A trial that either solver cannot take is
+    rejected like one without sufficient decrease, and a trial that
+    clipping leaves bit for bit equal to the one rejected before it is
+    rejected without a march.  If the line search exhausts its backtracks
+    the best iterate so far is returned with ``reason =
+    "line_search_failure"``.  Only solving needs a minimizer to exist:
+    `require_well_posed` raises `ValueError` before the first march.
     """
     require_well_posed(problem.weights, problem.admissible)
     arm = opts.armijo
     f = problem.initial_control()
     state, cost = cost_of_control(problem, f)
+    d = gradient_of_control(problem, f, state)
 
     nt = problem.time_grid.nt
     records: list[IterateRecord] = []
@@ -334,7 +335,6 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     reason = "max_iters"
 
     for iteration in range(opts.max_iters + 1):
-        d = gradient_of_control(problem, f, state)
         res = vi_residual(f, d, problem.admissible)
         records.append(IterateRecord(iteration, cost, res, step_taken, backtracks_taken,
                                      trial_marches, trial_levels))
@@ -361,26 +361,25 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
             trial_marches += 1
             try:
                 state_trial, cost_trial = cost_of_control(problem, f_trial, ceiling)
-                check_dual_definite(state_trial.u[1:], trial_vals, problem.params,
-                                    problem.time_grid.tau)
-            except (CostAboveCeiling, StepConditioningError, PicardDivergenceError,
-                    LinearSolverError) as err:
-                # a trial whose cost passed the ceiling early, that the forward
-                # solver cannot march, or whose march the dual cannot take, is
-                # just a step that was too long; shrink like any other
-                # rejection.  A march that stopped computed the levels before
-                # its `time_index` (a failed linear solve names no step)
-                trial_levels += getattr(err, "time_index", nt)
+            except (CostAboveCeiling, PicardDivergenceError, LinearSolverError) as err:
+                # a march stopped by its cost or by the forward solver computed
+                # the levels before its `time_index`
+                trial_levels += err.time_index
                 s *= arm.shrink
                 continue
             trial_levels += nt
             if cost_trial.j_total <= ceiling:
-                break
+                try:
+                    d = gradient_of_control(problem, f_trial, state_trial)
+                except (StepConditioningError, PicardDivergenceError, LinearSolverError):
+                    pass  # the dual cannot take the trial: a step too long like any other
+                else:
+                    break
             s *= arm.shrink
         else:
             reason = "line_search_failure"
             break
-        f, state, cost = f_trial, state_trial, cost_trial
+        f, cost = f_trial, cost_trial
         step_taken = s
         backtracks_taken = backtrack
 

@@ -117,6 +117,31 @@ def test_cost_and_dual_reject_targets_that_only_broadcast(name, shape):
         solve_adjoint(state, f, targets, ModelParams(kappa=1.0, r=1.0, mu=1.0), weights)
 
 
+def test_tracking_targets_levels_are_read_only_views_of_the_trajectory_shape():
+    shape = (TG.nt + 1, GRID.nx, GRID.ny)
+    per_level = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    for targets in (TrackingTargets(constant_field(GRID, 0.4), constant_field(GRID, 0.6)),
+                    TrackingTargets(per_level, per_level + 1.0)):
+        for target, stored in zip(targets.levels(shape), (targets.u_d, targets.v_d)):
+            assert target.shape == shape and not target.flags.writeable
+            assert np.shares_memory(target, stored)
+            np.testing.assert_array_equal(target, np.broadcast_to(stored, shape))
+    for name in ("u_d", "v_d"):
+        for bad in ((TG.nt, GRID.nx, GRID.ny), (GRID.nx, 1)):
+            fields = {"u_d": np.full((GRID.nx, GRID.ny), 0.4),
+                      "v_d": np.full((GRID.nx, GRID.ny), 0.6)}
+            fields[name] = np.zeros(bad)
+            with pytest.raises(ValueError, match=f"target {name} has shape"):
+                TrackingTargets(**fields).levels(shape)
+
+
+@pytest.mark.filterwarnings("error")
+def test_control_norm_and_cost_overflow_to_inf_without_a_warning():
+    huge = _control(np.full((TG.nt, REGION.count), 1e200))
+    assert qc_norm(huge.values, huge) == np.inf
+    assert control_cost(huge, 1.0, 2.1) == np.inf
+
+
 # ----------------------------------------------------------------------
 # cost term
 

@@ -486,6 +486,20 @@ def test_cli_overflowing_march_is_one_solver_error(command, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("solver error: ")
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_trial_is_a_rejected_step_without_warnings(base_cfg, tmp_path, capsys):
+    # a first step of 1e300 clips every trial to bounds of +-1e200, whose
+    # squared step and |f|^p overflow: the Armijo ceiling is -inf, each
+    # trial is rejected at its first level, and nothing warns on the way
+    assert run(["optimize", "--config", base_cfg, "--output", str(tmp_path / "out"),
+                "--set", "optimizer.max_iters=8", "--set", "control.kind=box",
+                "--set", "control.f_min=-1e200", "--set", "control.f_max=1e200",
+                "--set", "optimizer.armijo_s0=1e300"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "reason=line_search_failure" in captured.out
+
+
 def test_cli_problem_too_large_for_memory_exits_one(base_cfg, tmp_path, capsys, monkeypatch):
     def too_large(cfg):
         raise MemoryError("Unable to allocate 2.4 PiB")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kscontrol import optimize
+from kscontrol import forward, linalg, optimize
 from kscontrol.adjoint import check_dual_definite, solve_adjoint
 from kscontrol.control import (
     AdmissibleSet,
@@ -237,7 +237,7 @@ def test_a_trial_that_clipping_repeats_is_not_marched_again(monkeypatch):
     problem = _trial_crash_problem()
     marched = []
 
-    def counting_cost_of_control(problem, f, ceiling=None):
+    def counting_cost_of_control(problem, f, ceiling=np.inf):
         marched.append(f.values.tobytes())
         return cost_of_control(problem, f, ceiling)
 
@@ -263,8 +263,8 @@ def _search_steps(monkeypatch):
         searches.append((f.values, d.values, []))
         return d
 
-    def recording_cost(problem, f, ceiling=None):
-        if ceiling is not None:  # a trial, not the initial march
+    def recording_cost(problem, f, ceiling=np.inf):
+        if ceiling < np.inf:  # a trial, not the initial march
             f_now, d, steps = searches[-1]
             steps.append(np.vdot(f_now - f.values, d) / np.vdot(d, d))
         return cost_of_control(problem, f, ceiling)
@@ -417,6 +417,95 @@ def test_cost_of_control_with_a_ceiling_stops_at_the_first_costlier_level():
     with pytest.raises(CostAboveCeiling) as at_once:
         cost_of_control(problem, f, -1.0)
     assert at_once.value.time_index == 0
+
+
+@pytest.mark.parametrize("ceiling", [None, 1e6])
+def test_cost_of_control_sums_each_level_once(monkeypatch, ceiling):
+    # one running sum per march, with or without a ceiling, equal bit for
+    # bit to the cost of the stored trajectory
+    problem = _tracking_problem()
+    f = ControlField.from_constant(problem.time_grid, problem.region, 0.3)
+    added = []
+    add = optimize.RunningCost.add
+
+    def counting_add(running, n, u_n, v_n):
+        added.append(n)
+        add(running, n, u_n, v_n)
+
+    monkeypatch.setattr(optimize.RunningCost, "add", counting_add)
+    state, cost = cost_of_control(problem, f, *([] if ceiling is None else [ceiling]))
+    assert added == list(range(problem.time_grid.nt + 1))
+    assert cost == evaluate_cost(state, f, problem.targets, problem.weights,
+                                 problem.params.p_exponent)
+
+
+def _error(kind):
+    return {"conditioning": StepConditioningError("dual loses definiteness"),
+            "picard": PicardDivergenceError("dual fixed point stalled", 1.0, 2),
+            "linear": LinearSolverError("conjugate gradient did not converge", 1e-3, 2)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["conditioning", "picard", "linear"])
+def test_a_trial_whose_gradient_fails_is_a_rejected_step(monkeypatch, kind):
+    # the first trial to pass the Armijo test has a dual the solver cannot
+    # take: the search rejects it and shrinks, and the run goes on
+    problem = _tracking_problem()
+    opts = OptimizeOptions(max_iters=3, vi_tol=1e-12)
+    plain = solve(problem, opts)
+    calls = []
+
+    def failing_gradient(problem, f, state):
+        calls.append(f.values)
+        if len(calls) == 2:  # the initial control's gradient is call 1
+            raise _error(kind)
+        return gradient_of_control(problem, f, state)
+
+    monkeypatch.setattr(optimize, "gradient_of_control", failing_gradient)
+    report = solve(problem, opts)
+    costs = [rec.cost.j_total for rec in report.iterates]
+    assert report.reason == "max_iters" and len(costs) == 4
+    assert all(b < a for a, b in zip(costs, costs[1:]))
+    first, plain_first = report.iterates[1], plain.iterates[1]
+    assert first.backtracks == plain_first.backtracks + 1
+    assert first.trial_marches == plain_first.trial_marches + 1
+    assert first.step_size == plain_first.step_size * opts.armijo.shrink
+    assert not np.array_equal(calls[2], calls[1])
+
+
+def test_a_failed_linear_solve_names_its_step_and_ends_the_trial_there(monkeypatch):
+    # a CG failure inside step k of a march names the march and the step,
+    # and a trial march that fails there counts the k levels it computed
+    problem = _tracking_problem()
+    nt, k = problem.time_grid.nt, 3
+    marches, at = [], [None]
+    fixed_point, solve_shifted = forward.coupled_fixed_point, linalg.solve_shifted
+
+    def tracking_fixed_point(sweep, start, settings, cell_area, name, time_index, **kwargs):
+        if name == "fixed-point iteration" and time_index == 0:
+            marches.append(time_index)
+        at[0] = (len(marches), name, time_index)
+        return fixed_point(sweep, start, settings, cell_area, name, time_index, **kwargs)
+
+    def failing_solve_shifted(*args, **kwargs):
+        if at[0] == (2, "fixed-point iteration", k):  # the first trial march
+            raise LinearSolverError("conjugate gradient did not converge", 1e-3)
+        return solve_shifted(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "coupled_fixed_point", tracking_fixed_point)
+    monkeypatch.setattr(linalg, "solve_shifted", failing_solve_shifted)
+    f = ControlField.zeros(problem.time_grid, problem.region)
+    cost_of_control(problem, f)
+    with pytest.raises(LinearSolverError) as failed:
+        cost_of_control(problem, f)
+    assert failed.value.time_index == k
+    assert str(failed.value).startswith(
+        f"fixed-point iteration at sweep 1 of step {k}: conjugate gradient did not converge")
+
+    marches.clear()
+    report = solve(problem, OptimizeOptions(max_iters=1, vi_tol=1e-12))
+    first = report.iterates[1]
+    assert first.trial_marches == first.backtracks + 1 >= 2
+    assert first.trial_levels == k + (first.trial_marches - 1) * nt
 
 
 def test_solve_hits_iteration_cap():

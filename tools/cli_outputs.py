@@ -11,7 +11,9 @@ Runs the R1 configuration of ``tests/test_acceptance.py`` through
     adjoint     along each simulate run's snapshots, with its fluxes and
                 kappa; and along the central run with cost.gamma_v=0
     optimize    --seed 11 with 1 and 3 starts, unconstrained and as a box;
-                and with optimizer.armijo_s0=16, whose searches backtrack
+                and with optimizer.armijo_s0=16, whose searches backtrack;
+                and on the box [-1e200, 1e200] with optimizer.armijo_s0=1e300,
+                whose trials overflow the cost and fail the line search
     grad-check  with central and with upwind fluxes, and with
                 model.kappa=0 and cost.gamma_u=0
     mms         --levels 2, spatial and temporal
@@ -65,6 +67,9 @@ COMMANDS = {
                        *BOX],
     "optimize-backtrack": ["optimize", "--config", "../run.cfg", "--seed", "11",
                            "--set", "optimizer.armijo_s0=16"],
+    "optimize-overflow": ["optimize", "--config", "../run.cfg", "--set", "control.kind=box",
+                          "--set", "control.f_min=-1e200", "--set", "control.f_max=1e200",
+                          "--set", "optimizer.armijo_s0=1e300"],
     "grad-check": ["grad-check", "--config", "../run.cfg"],
     "grad-check-upwind": ["grad-check", "--config", "../run.cfg", *UPWIND],
     "grad-check-kappa0": ["grad-check", "--config", "../run.cfg", *KAPPA0,
