@@ -179,16 +179,16 @@ class RunningCost:
 
     def __init__(self, targets: TrackingTargets, weights: CostWeights,
                  time_grid: TimeGrid, grid: GridSpec, j_f: float):
-        self.targets = targets.levels((time_grid.nt + 1, grid.nx, grid.ny))
+        self.u_d, self.v_d = targets.levels((time_grid.nt + 1, grid.nx, grid.ny))
         self.weights, self.j_f = weights, j_f
         self.tau, self.cell_area = time_grid.tau, grid.cell_area
         self.level_weights = time_grid.trapezoid_weights()
         self.sums = [0.0, 0.0]  # u, v
 
     def add(self, n: int, u_n: np.ndarray, v_n: np.ndarray) -> None:
-        (u_d, v_d), w = self.targets, self.weights
-        for i, (gamma, level, target) in enumerate(((w.gamma_u, u_n, u_d),
-                                                     (w.gamma_v, v_n, v_d))):
+        w = self.weights
+        for i, (gamma, level, target) in enumerate(((w.gamma_u, u_n, self.u_d),
+                                                     (w.gamma_v, v_n, self.v_d))):
             if gamma != 0.0:  # a zero weight skips its term and the level's temporary
                 d = level - target[n]
                 s = float(np.sum(d * d))
