@@ -33,6 +33,7 @@ from .errors import (
     LinearSolverError,
     PicardDivergenceError,
     SnapshotFormatError,
+    SolverError,
     StepConditioningError,
 )
 from .forward import (
@@ -107,6 +108,7 @@ __all__ = [
     "PicardSettings",
     "RegionMask",
     "SnapshotFormatError",
+    "SolverError",
     "StateTrajectory",
     "StepConditioningError",
     "TimeGrid",

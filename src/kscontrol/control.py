@@ -195,7 +195,7 @@ def reduced_gradient(
     """
     inside = f.region.inside
     nt = f.time_grid.nt
-    vals = np.maximum(state.v[1:], 0.0)[:, inside] * adjoint.eta[:nt][:, inside]
+    vals = np.maximum(state.v[1:, inside], 0.0) * adjoint.eta[:nt, inside]
     if gamma_f != 0.0:
         fv = f.values
         vals = vals + gamma_f * np.sign(fv) * np.abs(fv) ** (p - 1.0)

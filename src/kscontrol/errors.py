@@ -32,35 +32,36 @@ class GridMismatchError(KSControlError):
     """Two fields (or a field and a mask) live on different grids."""
 
 
-class LinearSolverError(KSControlError):
-    """An inner linear solve did not reach its residual target.
+class SolverError(KSControlError):
+    """A solve failed; ``time_index`` is the step of the march whose solve
+    failed (None outside a march).  The optimizer rejects a trial on it, and
+    the command line exits 2 on it."""
 
-    Carries the achieved relative residual so callers can report how far
-    off the solve was; ``time_index`` is the step of the march whose sweep
-    made the solve (None outside a march).
-    """
+    def __init__(self, message: str, time_index: int | None = None):
+        super().__init__(message)
+        self.time_index = time_index
+
+
+class LinearSolverError(SolverError):
+    """An inner linear solve missed its residual target; ``residual`` is the
+    relative residual it reached, so callers can report how far off it was."""
 
     def __init__(self, message: str, residual: float, time_index: int | None = None):
-        super().__init__(f"{message} (relative residual {residual:.3e})")
+        super().__init__(f"{message} (relative residual {residual:.3e})", time_index)
         self.message = message
         self.residual = residual
-        self.time_index = time_index
 
 
-class PicardDivergenceError(KSControlError):
-    """A per-step fixed-point iteration stalled at its sweep cap or diverged.
-
-    ``last_increment`` is the final relative increment, ``time_index`` the
-    step at which the iteration gave up.
-    """
+class PicardDivergenceError(SolverError):
+    """A per-step fixed-point iteration stalled at its sweep cap or diverged;
+    ``last_increment`` is its final relative increment."""
 
     def __init__(self, message: str, last_increment: float, time_index: int):
-        super().__init__(message)
+        super().__init__(message, time_index)
         self.last_increment = last_increment
-        self.time_index = time_index
 
 
-class StepConditioningError(KSControlError):
+class StepConditioningError(SolverError):
     """A time step is too large for an implicit system to stay definite."""
 
 

@@ -24,7 +24,9 @@ Exit codes
 0   success
 1   usage or configuration problem (including malformed snapshots and a
     problem too large for memory)
-2   solver failure (linear solve, fixed-point stall, lost definiteness)
+2   solver failure, any `SolverError` (linear solve, fixed-point stall, lost
+    definiteness); ``optimize`` reports a failed start, finishes the others
+    and writes the best of them
 3   a verification check ran and failed beyond tolerance
 """
 
@@ -49,14 +51,7 @@ from .control import (
     qc_weight,
     require_well_posed,
 )
-from .errors import (
-    ConfigError,
-    InvalidValue,
-    LinearSolverError,
-    PicardDivergenceError,
-    SnapshotFormatError,
-    StepConditioningError,
-)
+from .errors import ConfigError, InvalidValue, SnapshotFormatError, SolverError
 from .forward import (
     ModelParams,
     PicardSettings,
@@ -513,8 +508,14 @@ def _cmd_optimize(args) -> int:
     out = _out_dir(args)
     best = None
     best_index = -1
+    failed = 0
     for k, f_start in enumerate(starts):
-        report = solve(dataclasses.replace(problem, f0=f_start), opts)
+        try:
+            report = solve(dataclasses.replace(problem, f0=f_start), opts)
+        except SolverError as err:  # reported; the other starts still run
+            print(f"solver error: start {k}: {err}", file=sys.stderr)
+            failed += 1
+            continue
         (out / f"optimize_start{k:02d}.csv").write_text(_optimize_csv(report))
         cost = report.final_cost
         print(
@@ -523,6 +524,8 @@ def _cmd_optimize(args) -> int:
         )
         if best is None or cost.j_total < best.final_cost.j_total:
             best, best_index = report, k
+    if best is None:
+        return 2
 
     times = problem.time_grid.times()
     for n in range(problem.time_grid.nt):
@@ -533,7 +536,7 @@ def _cmd_optimize(args) -> int:
         f"converged={best.converged} reason={best.reason}"
     )
     print(f"wrote results to {out}")
-    return 0
+    return 2 if failed else 0
 
 
 def _cmd_grad_check(args) -> int:
@@ -711,7 +714,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         print("error: the problem does not fit in memory", file=sys.stderr)
         return 1
-    except (LinearSolverError, PicardDivergenceError, StepConditioningError) as err:
+    except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 2
 

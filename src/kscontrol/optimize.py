@@ -26,13 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint
-from .errors import (
-    KSControlError,
-    LinearSolverError,
-    PicardDivergenceError,
-    StepConditioningError,
-    require,
-)
+from .errors import InvalidValue, KSControlError, SolverError, require
 from .control import (
     AdmissibleSet,
     ControlField,
@@ -315,18 +309,20 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
     it under the Armijo ceiling, stopping at the first level whose running
     cost proves the rejection, and a trial that passes takes its dual sweep
     (`gradient_of_control`).  A trial that either solver cannot take is
-    rejected like one without sufficient decrease, and a trial that
-    clipping leaves bit for bit equal to the one rejected before it is
-    rejected without a march.  If the line search exhausts its backtracks
-    the best iterate so far is returned with ``reason =
-    "line_search_failure"``.  Only solving needs a minimizer to exist:
-    `require_well_posed` raises `ValueError` before the first march.
+    rejected like one without sufficient decrease; a trial that clipping
+    leaves bit for bit equal to the one rejected before it, and one whose
+    step overflows to a non-finite control, is rejected without a march;
+    each trajectory is released once its gradient is taken.  If the line
+    search exhausts its backtracks the best iterate so far is returned with
+    ``reason = "line_search_failure"``.  Only solving needs a minimizer to
+    exist: `require_well_posed` raises `ValueError` before the first march.
     """
     require_well_posed(problem.weights, problem.admissible)
     arm = opts.armijo
     f = problem.initial_control()
     state, cost = cost_of_control(problem, f)
     d = gradient_of_control(problem, f, state)
+    del state  # each search holds one trajectory at a time
 
     nt = problem.time_grid.nt
     records: list[IterateRecord] = []
@@ -348,34 +344,38 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
         previous = b""
         trial_marches = trial_levels = 0
         for backtrack in range(arm.max_backtracks + 1):
-            trial_vals = np.clip(f.values - s * d.values, problem.admissible.f_min,
-                                 problem.admissible.f_max)
+            if backtrack:  # every rejection below lands here
+                s *= arm.shrink
+            with np.errstate(over="ignore"):  # an overflowing step is rejected below
+                trial_vals = np.clip(f.values - s * d.values, problem.admissible.f_min,
+                                     problem.admissible.f_max)
             trial_bits = trial_vals.tobytes()
             if trial_bits == previous:
-                # the rejected trial again: same march, a larger decrease asked
-                s *= arm.shrink
-                continue
+                continue  # the rejected trial again: same march, a larger decrease asked
             previous = trial_bits
-            f_trial = ControlField(f.time_grid, f.region, trial_vals)
+            try:
+                f_trial = ControlField(f.time_grid, f.region, trial_vals)
+            except InvalidValue:
+                continue  # a step that overflowed to a non-finite control
             ceiling = cost.j_total - arm.c1 / s * qc_norm(f.values - trial_vals, f) ** 2
             trial_marches += 1
             try:
                 state_trial, cost_trial = cost_of_control(problem, f_trial, ceiling)
-            except (CostAboveCeiling, PicardDivergenceError, LinearSolverError) as err:
+            except (CostAboveCeiling, SolverError) as err:
                 # a march stopped by its cost or by the forward solver computed
                 # the levels before its `time_index`
                 trial_levels += err.time_index
-                s *= arm.shrink
                 continue
             trial_levels += nt
-            if cost_trial.j_total <= ceiling:
-                try:
-                    d = gradient_of_control(problem, f_trial, state_trial)
-                except (StepConditioningError, PicardDivergenceError, LinearSolverError):
-                    pass  # the dual cannot take the trial: a step too long like any other
-                else:
-                    break
-            s *= arm.shrink
+            try:
+                if not cost_trial.j_total <= ceiling:  # a nan ceiling rejects too
+                    continue
+                d = gradient_of_control(problem, f_trial, state_trial)
+            except SolverError:
+                continue  # the dual cannot take the trial: a step too long like any other
+            finally:
+                del state_trial  # released before the next march
+            break
         else:
             reason = "line_search_failure"
             break

@@ -7,7 +7,14 @@ import pytest
 
 from kscontrol import io_cli
 from kscontrol.control import AdmissibleSet, CostWeights
-from kscontrol.errors import ConfigError, SnapshotFormatError
+from kscontrol.errors import (
+    ConfigError,
+    LinearSolverError,
+    PicardDivergenceError,
+    SnapshotFormatError,
+    SolverError,
+    StepConditioningError,
+)
 from kscontrol.forward import ModelParams, PicardSettings
 from kscontrol.io_cli import (
     DEFAULTS,
@@ -498,6 +505,51 @@ def test_cli_overflowing_trial_is_a_rejected_step_without_warnings(base_cfg, tmp
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "reason=line_search_failure" in captured.out
+
+
+def test_cli_failed_start_is_reported_and_the_others_still_written(tmp_path, capsys):
+    # the extra start drawn from the widest box cannot be marched; start 0
+    # still finishes, and its control is written as the best
+    cfg = tmp_path / "six.cfg"
+    cfg.write_text(SIX_CFG)
+    out = tmp_path / "out"
+    assert run(["optimize", "--config", str(cfg), "--output", str(out), "--starts", "2",
+                "--set", "control.kind=box", "--set", "control.f_min=-1.7e308",
+                "--set", "control.f_max=1.7e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0].startswith("solver error: start 1: ")
+    assert "best start 0: " in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "f_best_000000.ksf", "f_best_000001.ksf", "f_best_000002.ksf", "optimize_start00.csv"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_trial_step_that_overflows_is_a_rejected_step(base_cfg, tmp_path, capsys):
+    # s0 = 1e308 times a gradient above 1.8 overflows f - s d in every trial
+    assert run(["optimize", "--config", base_cfg, "--output", str(tmp_path / "out"),
+                "--set", "optimizer.armijo_s0=1e308", "--set", "cost.gamma_u=1e6",
+                "--set", "optimizer.max_iters=3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "reason=line_search_failure" in captured.out
+
+
+@pytest.mark.parametrize("error", [
+    SolverError("a solve failed", 1),
+    StepConditioningError("dual loses definiteness"),
+    PicardDivergenceError("fixed point stalled", 1.0, 1),
+    LinearSolverError("conjugate gradient did not converge", 1e-3, 1),
+], ids=lambda err: type(err).__name__)
+def test_cli_any_solver_error_in_a_march_exits_two(error, base_cfg, capsys, monkeypatch):
+    # one name decides "a solve failed" for the command line
+    def failing_solve_forward(*args, **kwargs):
+        raise error
+
+    assert isinstance(error, SolverError)
+    monkeypatch.setattr(io_cli, "solve_forward", failing_solve_forward)
+    assert run(["simulate", "--config", base_cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"solver error: {error}"]
 
 
 def test_cli_problem_too_large_for_memory_exits_one(base_cfg, tmp_path, capsys, monkeypatch):

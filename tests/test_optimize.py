@@ -1,5 +1,9 @@
 """Cost evaluation, projected-gradient descent, and optimality reporting."""
 
+import importlib.util
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -506,6 +510,68 @@ def test_a_failed_linear_solve_names_its_step_and_ends_the_trial_there(monkeypat
     first = report.iterates[1]
     assert first.trial_marches == first.backtracks + 1 >= 2
     assert first.trial_levels == k + (first.trial_marches - 1) * nt
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_trial_step_that_overflows_is_a_rejected_step():
+    # s0 = 1e308 times a gradient above 1.8 overflows f - s d: the trial is
+    # rejected like any other, without a warning, and every trial it could
+    # shrink to within 40 backtracks is still too long
+    problem = _tracking_problem(weights=CostWeights(1e6, 0.8, 1e-3))
+    report = solve(problem, OptimizeOptions(max_iters=3, armijo=ArmijoSettings(s0=1e308)))
+    assert report.reason == "line_search_failure" and len(report.iterates) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_trial_counts_as_a_backtrack_and_is_not_marched(monkeypatch):
+    # enough backtracks to shrink 1e308 down to a step the search accepts:
+    # the overflowing trials count in `backtracks` but not in `trial_marches`
+    problem = _tracking_problem(weights=CostWeights(1e6, 0.8, 1e-3))
+    marched = []
+
+    def counting_cost_of_control(problem, f, ceiling=np.inf):
+        marched.append(f)
+        return cost_of_control(problem, f, ceiling)
+
+    monkeypatch.setattr(optimize, "cost_of_control", counting_cost_of_control)
+    arm = ArmijoSettings(s0=1e308, max_backtracks=1100)
+    report = solve(problem, OptimizeOptions(max_iters=1, vi_tol=1e-12, armijo=arm))
+    first = report.iterates[1]
+    assert report.reason == "max_iters" and first.cost.j_total < report.iterates[0].cost.j_total
+    f0 = problem.initial_control()
+    d = gradient_of_control(problem, f0, cost_of_control(problem, f0)[0]).values
+    with np.errstate(over="ignore"):
+        overflowed = sum(not np.all(np.isfinite(f0.values - arm.s0 * arm.shrink ** k * d))
+                         for k in range(first.backtracks + 1))
+    assert overflowed >= 1
+    assert first.trial_marches == len(marched) - 1 == first.backtracks + 1 - overflowed
+
+
+def _optimize_12_workload():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS["optimize-12"]
+
+
+def test_solve_holds_one_trajectory_at_a_time(monkeypatch, tmp_path):
+    # no march starts while an earlier trajectory is alive: the initial one
+    # is released once its gradient is taken, each trial's before the next march
+    workload = _optimize_12_workload()
+    inputs = workload.build(1000, tmp_path)
+    returned, alive_at_start = [], []
+
+    def tracking_solve_forward(*args, **kwargs):
+        alive_at_start.append(sum(ref() is not None for ref in returned))
+        state = forward.solve_forward(*args, **kwargs)
+        returned.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(optimize, "solve_forward", tracking_solve_forward)
+    report = workload.run(inputs)
+    assert report.reason == "vi_tol" and len(returned) >= 3
+    assert alive_at_start == [0] * len(alive_at_start)
 
 
 def test_solve_hits_iteration_cap():
