@@ -55,7 +55,6 @@ from .errors import ConfigError, InvalidValue, SnapshotFormatError, SolverError
 from .forward import (
     ModelParams,
     PicardSettings,
-    StateTrajectory,
     TimeGrid,
     solve_forward,
 )
@@ -310,9 +309,11 @@ def build_setup(cfg: dict[str, object]) -> ControlProblem:
     if region.count == 0:
         raise ConfigError("control.region.x0", "the control region contains no grid cells")
 
-    bounds = {"f_min": "control.f_min", "f_max": "control.f_max"}
-    admissible = _built(cfg, AdmissibleSet, kind="control.kind",
-                        **(bounds if cfg["control.kind"] == "box" else {}))
+    # a bound set away from its default goes to the type even off a box,
+    # which refuses it there rather than ignoring it
+    bounds = {name: key for name, key in (("f_min", "control.f_min"), ("f_max", "control.f_max"))
+              if cfg["control.kind"] == "box" or cfg[key] != DEFAULTS[key]}
+    admissible = _built(cfg, AdmissibleSet, kind="control.kind", **bounds)
     weights = _built(cfg, CostWeights, gamma_u="cost.gamma_u", gamma_v="cost.gamma_v",
                      gamma_f="cost.gamma_f")
 
@@ -363,10 +364,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _march(problem: ControlProblem):
+    """The initial control and the state it drives."""
+    f = problem.initial_control()
+    return f, solve_forward(problem.u0, problem.v0, f, problem.params, problem.time_grid,
+                            problem.picard, problem.scheme, problem.cg_tol)
+
+
 def _march_and_monitor(args, problem: ControlProblem):
     """March from the initial control, monitor it, write ``invariants.csv``."""
-    state = solve_forward(problem.u0, problem.v0, problem.initial_control(), problem.params,
-                          problem.time_grid, problem.picard, problem.scheme, problem.cg_tol)
+    _f, state = _march(problem)
     report = verify.monitor_invariants(state, problem.params)
     out = _out_dir(args)
     (out / "invariants.csv").write_text(report.to_csv())
@@ -438,36 +445,13 @@ def _cmd_invariants(args) -> int:
 def _cmd_adjoint(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem = build_setup(cfg)
-    state_dir = Path(args.state_dir)
-    nt = problem.time_grid.nt
-
-    grid = problem.u0.grid
-    times = problem.time_grid.times()
-    u = np.empty((nt + 1, grid.nx, grid.ny))
-    v = np.empty_like(u)
-    for n in range(nt + 1):
-        for prefix, stack in (("u", u), ("v", v)):
-            path = state_dir / f"{prefix}_{n:06d}.ksf"
-            if not path.exists():
-                raise _UsageError(
-                    f"missing state snapshot {path}; run "
-                    "`ks-control simulate --snapshot-every 1` with the same "
-                    "configuration first"
-                )
-            values, time = read_snapshot(path)
-            if not abs(time - times[n]) <= 1e-12 * abs(times[n]):
-                raise SnapshotFormatError(f"{path}: stamped t = {time!r}, but level {n} "
-                                          f"of this time grid is at t = {times[n]!r}")
-            try:
-                stack[n] = Field2D(grid, values).values
-            except InvalidValue as err:
-                raise SnapshotFormatError(f"{path}: {err}") from None
-
-    state = StateTrajectory(problem.time_grid, grid, u, v)
-    adj = solve_adjoint(state, problem.initial_control(), problem.targets, problem.params,
+    f, state = _march(problem)
+    adj = solve_adjoint(state, f, problem.targets, problem.params,
                         problem.weights, problem.scheme, problem.cg_tol,
                         settings=problem.picard)
 
+    nt = problem.time_grid.nt
+    times = problem.time_grid.times()
     out = _out_dir(args)
     for n in range(nt + 1):
         write_snapshot(out / f"lam_{n:06d}.ksf", adj.lam[n], times[n])
@@ -648,10 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--snapshot-every", type=_COUNT, default=0, metavar="K",
                      help="write u/v snapshots every K levels (default: 0, none)")
 
-    adj = sub.add_parser("adjoint", help="sweep the dual system along stored snapshots")
+    adj = sub.add_parser("adjoint", help="march the state, then sweep the dual system along it")
     _add_common(adj)
-    adj.add_argument("--state-dir", required=True,
-                     help="directory with u_NNNNNN.ksf / v_NNNNNN.ksf for every level")
 
     opt = sub.add_parser("optimize", help="projected-gradient descent on the control")
     _add_common(opt)

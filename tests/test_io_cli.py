@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kscontrol import io_cli
+from kscontrol.adjoint import solve_adjoint
 from kscontrol.control import AdmissibleSet, CostWeights
 from kscontrol.errors import (
     ConfigError,
@@ -15,7 +16,7 @@ from kscontrol.errors import (
     SolverError,
     StepConditioningError,
 )
-from kscontrol.forward import ModelParams, PicardSettings
+from kscontrol.forward import ModelParams, PicardSettings, solve_forward
 from kscontrol.io_cli import (
     DEFAULTS,
     build_problem,
@@ -370,14 +371,17 @@ SHRINKING = ["--set", "grid.nx=6", "--set", "grid.ny=6", "--set", "time.nt=2",
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "{cfg}", "--seed", "3"],
     ["invariants", "--config", "{cfg}", "--seed", "3"],
-    ["adjoint", "--config", "{cfg}", "--state-dir", "{tmp}", "--seed", "3"],
+    ["adjoint", "--config", "{cfg}", "--seed", "3"],
+    ["adjoint", "--config", "{cfg}", "--state-dir", "{tmp}"],
     ["mms", "--seed", "3"],
     ["mms", "--set", "model.kappa=5"],
     ["mms", "--config", "{cfg}"],
-], ids=["simulate-seed", "invariants-seed", "adjoint-seed", "mms-seed", "mms-set", "mms-config"])
+], ids=["simulate-seed", "invariants-seed", "adjoint-seed", "adjoint-state-dir", "mms-seed",
+        "mms-set", "mms-config"])
 def test_cli_refuses_input_the_command_does_not_read(base_cfg, tmp_path, capsys, argv):
-    # the mms study fixes every constant, and only optimize and grad-check
-    # draw random numbers: accepting the flag would silently ignore it
+    # the mms study fixes every constant, only optimize and grad-check draw
+    # random numbers, and adjoint marches its own state: accepting the flag
+    # would silently ignore it
     out = tmp_path / "out"
     argv = [a.format(cfg=base_cfg, tmp=tmp_path) for a in argv]
     assert run([*argv, "--output", str(out)]) == 1
@@ -412,11 +416,14 @@ def test_cli_refuses_input_the_command_does_not_read(base_cfg, tmp_path, capsys,
     ("optimize", ["optimizer.armijo_c1=0"], "optimizer.armijo_c1"),
     ("optimize", ["optimizer.armijo_s0=nan"], "optimizer.armijo_s0"),
     ("simulate", ["control.kind=box", "control.f_max=inf"], "control.f_max"),
+    # only control.kind = box reads the bounds, so setting one off a box is refused
+    ("optimize", ["control.f_min=-0.01", "control.f_max=0.01"], "control.f_min"),
+    ("simulate", ["control.f_max=0.01"], "control.f_max"),
 ], ids=["u0-inf", "control-nan", "v0-nan-snapshot", "T-inf", "shrink-zero", "shrink-nan",
         "kappa-inf", "r-nan", "gamma-v-nan", "picard-zero", "max-iters-negative",
         "backtracks-negative", "nx-beyond-u32", "Ly-inf", "ny-one", "mu-inf", "p-nan",
         "picard-tol-inf", "cg-tol-nan", "scheme-unknown", "gamma-f-negative", "vi-tol-inf",
-        "c1-zero", "s0-nan", "box-f-max-inf"])
+        "c1-zero", "s0-nan", "box-f-max-inf", "bounds-off-a-box", "f-max-off-a-box"])
 def test_cli_bad_value_exits_one_naming_the_key(base_cfg, tmp_path, capsys,
                                                 command, overrides, key):
     nan_ksf = tmp_path / "nan.ksf"
@@ -567,11 +574,9 @@ def test_cli_gamma_f_zero_on_an_unbounded_set_blocks_only_the_cost_commands(
     # the state and the dual exist for every control; only a minimizer
     # needs gamma_f > 0 or a bounded admissible set
     zero = ["--config", base_cfg, "--set", "cost.gamma_f=0"]
-    state = str(tmp_path / "state")
-    assert run(["simulate", *zero, "--output", state, "--snapshot-every", "1"]) == 0
+    assert run(["simulate", *zero, "--output", str(tmp_path / "state")]) == 0
     assert run(["invariants", *zero, "--output", str(tmp_path / "inv")]) == 0
-    assert run(["adjoint", *zero, "--state-dir", state,
-                "--output", str(tmp_path / "dual")]) == 0
+    assert run(["adjoint", *zero, "--output", str(tmp_path / "dual")]) == 0
     capsys.readouterr()
     for command in ("optimize", "grad-check"):
         assert run([command, *zero, "--output", str(tmp_path / command)]) == 1
@@ -615,58 +620,9 @@ def test_cli_solver_failure_exits_two(base_cfg, capsys):
     assert "solver error" in err and "at step 0" in err
 
 
-def test_cli_adjoint_requires_snapshots(base_cfg, tmp_path, capsys):
-    rc = run(["adjoint", "--config", base_cfg, "--state-dir", str(tmp_path)])
-    assert rc == 1
-    assert "snapshot" in capsys.readouterr().err
-
-
-def test_cli_adjoint_rejects_non_finite_snapshots(base_cfg, tmp_path, capsys):
-    state_dir = tmp_path / "state"
-    assert run(["simulate", "--config", base_cfg, "--output", str(state_dir),
-                "--snapshot-every", "1"]) == 0
-    bad = state_dir / "v_000003.ksf"
-    values, time = read_snapshot(bad)
-    values[2, 7] = np.inf
-    write_snapshot(bad, values, time)
-    capsys.readouterr()
-    rc = run(["adjoint", "--config", base_cfg, "--state-dir", str(state_dir),
-              "--output", str(tmp_path / "dual")])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and "non-finite" in err[0]
-
-
-@pytest.mark.parametrize("case", ["other-final-time", "shifted-stamp"])
-def test_cli_adjoint_rejects_snapshots_of_another_time_grid(case, base_cfg, tmp_path, capsys):
-    state_dir = tmp_path / "state"
-    assert run(["simulate", "--config", base_cfg, "--output", str(state_dir),
-                "--snapshot-every", "1"]) == 0
-    extra = []
-    bad = state_dir / "u_000001.ksf"  # level 0 sits at t = 0 on every grid
-    if case == "other-final-time":
-        extra = ["--set", "time.T=0.4"]
-    else:
-        bad = state_dir / "v_000003.ksf"
-        values, time = read_snapshot(bad)
-        write_snapshot(bad, values, time * (1.0 + 1e-9))
-    capsys.readouterr()
-    rc = run(["adjoint", "--config", base_cfg, *extra, "--state-dir", str(state_dir),
-              "--output", str(tmp_path / "dual")])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {bad}: stamped t = ")
-    assert not (tmp_path / "dual").exists()
-
-
 def test_cli_adjoint_round_trip(base_cfg, tmp_path):
-    state_dir = tmp_path / "state"
-    rc = run(["simulate", "--config", base_cfg, "--output", str(state_dir),
-              "--snapshot-every", "1"])
-    assert rc == 0
     out = tmp_path / "dual"
-    rc = run(["adjoint", "--config", base_cfg, "--state-dir", str(state_dir),
-              "--output", str(out)])
+    rc = run(["adjoint", "--config", base_cfg, "--output", str(out)])
     assert rc == 0
     for n in range(6):
         assert (out / f"lam_{n:06d}.ksf").exists()
@@ -674,6 +630,29 @@ def test_cli_adjoint_round_trip(base_cfg, tmp_path):
     # terminal multipliers close the recursion at exactly zero
     lam5, _ = read_snapshot(out / "lam_000005.ksf")
     np.testing.assert_array_equal(lam5, 0.0)
+
+
+def _dual_written(out):
+    return [read_snapshot(out / f"{prefix}_{n:06d}.ksf")[0].tobytes()
+            for prefix in ("lam", "eta") for n in range(6)]
+
+
+def test_cli_adjoint_sweeps_along_the_state_its_configuration_defines(base_cfg, tmp_path):
+    out = tmp_path / "dual"
+    assert run(["adjoint", "--config", base_cfg, "--output", str(out)]) == 0
+    problem = build_setup(load_config(base_cfg, []))
+    f = problem.initial_control()
+    state = solve_forward(problem.u0, problem.v0, f, problem.params, problem.time_grid,
+                          problem.picard, problem.scheme, problem.cg_tol)
+    adj = solve_adjoint(state, f, problem.targets, problem.params, problem.weights,
+                        problem.scheme, problem.cg_tol, settings=problem.picard)
+    assert _dual_written(out) == [field.tobytes() for field in (*adj.lam, *adj.eta)]
+    # every key that shapes the state reaches the dual
+    for k, pair in enumerate(["init.u0=cosine:0.8,0.3,1,1", "domain.Lx=3"]):
+        other = tmp_path / f"other{k}"
+        assert run(["adjoint", "--config", base_cfg, "--set", pair,
+                    "--output", str(other)]) == 0
+        assert _dual_written(other) != _dual_written(out)
 
 
 def test_cli_optimize_writes_history_and_control(base_cfg, tmp_path):

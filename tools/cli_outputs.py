@@ -8,8 +8,8 @@ Runs the R1 configuration of ``tests/test_acceptance.py`` through
     simulate    --snapshot-every 1, with central and with upwind fluxes,
                 and with model.kappa=0
     invariants  with upwind fluxes
-    adjoint     along each simulate run's snapshots, with its fluxes and
-                kappa; and along the central run with cost.gamma_v=0
+    adjoint     with the fluxes and kappa of each simulate run, and with
+                cost.gamma_v=0; each run marches its own state
     optimize    --seed 11 with 1 and 3 starts, unconstrained and as a box;
                 and with optimizer.armijo_s0=16, whose searches backtrack;
                 and on the box [-1e200, 1e200] with optimizer.armijo_s0=1e300,
@@ -30,7 +30,11 @@ on a checkout of the parent commit and once on the change, then comparing:
     diff -r ../before ../after
 
 ``--repo`` names the checkout whose ``src/`` and ``tests/`` are used
-(default: the one holding this script).
+(default: the one holding this script).  A change that alters a command's
+flags, but none of its outputs, is checked with each checkout's own copy
+of this script instead:
+
+    python3 ../parent-checkout/tools/cli_outputs.py ../before
 """
 
 from __future__ import annotations
@@ -53,13 +57,10 @@ COMMANDS = {
     "simulate-upwind": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1", *UPWIND],
     "simulate-kappa0": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1", *KAPPA0],
     "invariants-upwind": ["invariants", "--config", "../run.cfg", *UPWIND],
-    "adjoint": ["adjoint", "--config", "../run.cfg", "--state-dir", "../simulate/files"],
-    "adjoint-upwind": ["adjoint", "--config", "../run.cfg",
-                       "--state-dir", "../simulate-upwind/files", *UPWIND],
-    "adjoint-kappa0": ["adjoint", "--config", "../run.cfg",
-                       "--state-dir", "../simulate-kappa0/files", *KAPPA0],
-    "adjoint-gamma0": ["adjoint", "--config", "../run.cfg", "--state-dir", "../simulate/files",
-                       "--set", "cost.gamma_v=0"],
+    "adjoint": ["adjoint", "--config", "../run.cfg"],
+    "adjoint-upwind": ["adjoint", "--config", "../run.cfg", *UPWIND],
+    "adjoint-kappa0": ["adjoint", "--config", "../run.cfg", *KAPPA0],
+    "adjoint-gamma0": ["adjoint", "--config", "../run.cfg", "--set", "cost.gamma_v=0"],
     "optimize-1": ["optimize", "--config", "../run.cfg", "--seed", "11"],
     "optimize-3": ["optimize", "--config", "../run.cfg", "--seed", "11", "--starts", "3"],
     "optimize-box-1": ["optimize", "--config", "../run.cfg", "--seed", "11", *BOX],
