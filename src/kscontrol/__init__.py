@@ -77,9 +77,18 @@ from .verify import (
     monitor_invariants,
     trajectory_l2_distance,
 )
-from .io_cli import read_snapshot, run, write_snapshot
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the command-line names load on first use, so that ``python -m
+    # kscontrol.io_cli`` runs that module once, as ``__main__``
+    if name in ("read_snapshot", "run", "write_snapshot"):
+        from . import io_cli
+        return getattr(io_cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdjointTrajectory",

@@ -83,30 +83,25 @@ class AdjointTrajectory:
     eta: np.ndarray
 
 
-def check_dual_definite(u: np.ndarray, f: np.ndarray, params: ModelParams, tau: float) -> None:
-    """Raise `StepConditioningError` unless the dual shifts ``1/tau + 2 mu u_+ - r``
-    and ``1/tau + 1 - f`` stay positive for all states ``u`` and controls ``f``.
-    Each is evaluated at ``u.min()`` or ``f.max()`` in the cellwise order; every
-    rounded operation is monotone, so this decides as the cellwise minimum would."""
-    if 1.0 / tau + 2.0 * params.mu * max(float(u.min()), 0.0) - params.r <= 0.0:
+def dual_shifts(u: np.ndarray, f: np.ndarray, params: ModelParams, tau: float):
+    """``u_+`` and the shifts ``1/tau + 2 mu u_+ - r`` and ``1/tau + 1 - f`` of
+    the dual or linearized solves; raise `StepConditioningError` unless both
+    shifts are positive in every cell, so that both solves stay SPD."""
+    upos = np.maximum(u, 0.0)
+    shift_lam = 1.0 / tau + 2.0 * params.mu * upos - params.r
+    if shift_lam.min() <= 0.0:
         raise StepConditioningError(
             f"dual density equation loses definiteness at tau = {tau:g}: "
             "the reaction shift 1/tau - r + 2 mu u_+ must stay positive; "
             "reduce the time step"
         )
-    if 1.0 / tau + 1.0 - float(f.max()) <= 0.0:
+    shift_eta = 1.0 / tau + 1.0 - f
+    if shift_eta.min() <= 0.0:
         raise StepConditioningError(
             f"dual signal equation loses definiteness at tau = {tau:g}: "
             "1/tau + 1 - f must stay positive; reduce the time step or the control"
         )
-
-
-def _dual_coefficients(u_new: np.ndarray, f_now: np.ndarray, params: ModelParams, tau: float):
-    """``u_+`` and the shifts ``1/tau + 2 mu u_+ - r`` and ``1/tau + 1 - f`` of
-    one dual or linearized step, after checking both solves stay SPD."""
-    check_dual_definite(u_new, f_now, params, tau)
-    upos = np.maximum(u_new, 0.0)
-    return upos, 1.0 / tau + 2.0 * params.mu * upos - params.r, 1.0 / tau + 1.0 - f_now
+    return upos, shift_lam, shift_eta
 
 
 def solve_adjoint(
@@ -148,7 +143,7 @@ def solve_adjoint(
     for m in range(nt - 1, -1, -1):
         # coefficients frozen at level m+1, tracking sources with its weight
         u_new, v_new, w = state.u[m + 1], state.v[m + 1], level_weights[m + 1]
-        upos, shift_lam, shift_eta = _dual_coefficients(u_new, control.array_at(m), params, tau)
+        upos, shift_lam, shift_eta = dual_shifts(u_new, control.array_at(m), params, tau)
         rhs_lam_base = lam[m + 1] * inv_tau + w * weights.gamma_u * (u_new - u_d[m + 1])
         rhs_eta_base = eta[m + 1] * inv_tau + w * weights.gamma_v * (v_new - v_d[m + 1])
 
@@ -205,8 +200,7 @@ def solve_linearized_dual(
 
     for m in range(nt):
         v_new = state.v[m + 1]
-        upos, shift_u, shift_v = _dual_coefficients(state.u[m + 1], control.array_at(m),
-                                                     params, tau)
+        upos, shift_u, shift_v = dual_shifts(state.u[m + 1], control.array_at(m), params, tau)
         rhs_u_base = source_u[m] + u_prev * inv_tau
         rhs_v_base = source_v[m] + v_prev * inv_tau
 

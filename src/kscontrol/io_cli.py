@@ -23,7 +23,7 @@ Exit codes
 ----------
 0   success
 1   usage or configuration problem (including malformed snapshots and a
-    problem too large for memory)
+    problem too large for memory), or an output that cannot be written
 2   solver failure, any `SolverError` (linear solve, fixed-point stall, lost
     definiteness); ``optimize`` reports a failed start, finishes the others
     and writes the best of them
@@ -82,32 +82,32 @@ DEFAULTS: dict[str, object] = {
     "model.kappa": 1.0,
     "model.r": 1.0,
     "model.mu": 2.0,
-    "model.p_exponent": 2.1,
-    "forward.scheme": "central",
-    "forward.cg_tol": 1e-10,
-    "forward.picard_tol": 1e-9,
-    "forward.picard_max_iters": 50,
+    "model.p_exponent": ModelParams.p_exponent,
+    "forward.scheme": ControlProblem.scheme,
+    "forward.cg_tol": ControlProblem.cg_tol,
+    "forward.picard_tol": PicardSettings.tol,
+    "forward.picard_max_iters": PicardSettings.max_iters,
     "init.u0": "constant:0.5",
     "init.v0": "constant:0.5",
     "targets.u_d": "constant:0.5",
     "targets.v_d": "constant:0.5",
-    "cost.gamma_u": 1.0,
-    "cost.gamma_v": 1.0,
-    "cost.gamma_f": 1e-3,
+    "cost.gamma_u": CostWeights.gamma_u,
+    "cost.gamma_v": CostWeights.gamma_v,
+    "cost.gamma_f": CostWeights.gamma_f,
     "control.region.x0": 0.0,
     "control.region.y0": 0.0,
     "control.region.x1": 1.0,
     "control.region.y1": 1.0,
-    "control.kind": "unconstrained",
+    "control.kind": AdmissibleSet.kind,
     "control.f_min": -1.0,
     "control.f_max": 1.0,
     "control.initial": "zero",
-    "optimizer.max_iters": 100,
-    "optimizer.vi_tol": 1e-6,
-    "optimizer.armijo_c1": 1e-4,
-    "optimizer.armijo_shrink": 0.5,
-    "optimizer.armijo_s0": 1.0,
-    "optimizer.armijo_max_backtracks": 40,
+    "optimizer.max_iters": OptimizeOptions.max_iters,
+    "optimizer.vi_tol": OptimizeOptions.vi_tol,
+    "optimizer.armijo_c1": ArmijoSettings.c1,
+    "optimizer.armijo_shrink": ArmijoSettings.shrink,
+    "optimizer.armijo_s0": ArmijoSettings.s0,
+    "optimizer.armijo_max_backtracks": ArmijoSettings.max_backtracks,
 }
 
 
@@ -299,15 +299,8 @@ def build_setup(cfg: dict[str, object]) -> ControlProblem:
     picard = _built(cfg, PicardSettings, tol="forward.picard_tol",
                     max_iters="forward.picard_max_iters")
 
-    x0, y0 = float(cfg["control.region.x0"]), float(cfg["control.region.y0"])
-    x1, y1 = float(cfg["control.region.x1"]), float(cfg["control.region.y1"])
-    if not x1 > x0:
-        raise ConfigError("control.region.x1", "region needs x1 > x0")
-    if not y1 > y0:
-        raise ConfigError("control.region.y1", "region needs y1 > y0")
-    region = RegionMask.rectangle(grid, x0, y0, x1, y1)
-    if region.count == 0:
-        raise ConfigError("control.region.x0", "the control region contains no grid cells")
+    region = _built(cfg, RegionMask.rectangle, dict(grid=grid), x0="control.region.x0",
+                    y0="control.region.y0", x1="control.region.x1", y1="control.region.y1")
 
     # a bound set away from its default goes to the type even off a box,
     # which refuses it there rather than ignoring it
@@ -371,19 +364,19 @@ def _march(problem: ControlProblem):
                             problem.picard, problem.scheme, problem.cg_tol)
 
 
-def _march_and_monitor(args, problem: ControlProblem):
+def _march_and_monitor(problem: ControlProblem, out: Path):
     """March from the initial control, monitor it, write ``invariants.csv``."""
     _f, state = _march(problem)
     report = verify.monitor_invariants(state, problem.params)
-    out = _out_dir(args)
     (out / "invariants.csv").write_text(report.to_csv())
-    return state, report, out
+    return state, report
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem = build_setup(cfg)
-    state, report, out = _march_and_monitor(args, problem)
+    out = _out_dir(args)
+    state, report = _march_and_monitor(problem, out)
 
     nt = problem.time_grid.nt
     written = 1
@@ -415,7 +408,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_invariants(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem = build_setup(cfg)
-    _state, report, out = _march_and_monitor(args, problem)
+    out = _out_dir(args)
+    _state, report = _march_and_monitor(problem, out)
 
     # Which failures falsify a guaranteed property, as opposed to one that
     # holds only under hypotheses this run does not satisfy?  The mass
@@ -445,6 +439,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_adjoint(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem = build_setup(cfg)
+    out = _out_dir(args)
     f, state = _march(problem)
     adj = solve_adjoint(state, f, problem.targets, problem.params,
                         problem.weights, problem.scheme, problem.cg_tol,
@@ -452,7 +447,6 @@ def _cmd_adjoint(args) -> int:
 
     nt = problem.time_grid.nt
     times = problem.time_grid.times()
-    out = _out_dir(args)
     for n in range(nt + 1):
         write_snapshot(out / f"lam_{n:06d}.ksf", adj.lam[n], times[n])
         write_snapshot(out / f"eta_{n:06d}.ksf", adj.eta[n], times[n])
@@ -526,6 +520,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_grad_check(args) -> int:
     cfg = load_config(args.config, args.overrides)
     problem, _opts = build_problem(cfg)
+    out = _out_dir(args)
 
     f = problem.initial_control()
     state, _cost = cost_of_control(problem, f)
@@ -552,7 +547,6 @@ def _cmd_grad_check(args) -> int:
             f"direction {k}: analytic={analytic[k]:.10e} fd={fd[k]:.10e} "
             f"rel_error={rel:.3e}"
         )
-    out = _out_dir(args)
     (out / "grad_check.csv").write_text(
         verify.csv_table("direction,analytic,finite_difference,rel_error", rows))
     print(f"worst relative error {worst:.3e} (tolerance {args.tol:.3e})")
@@ -563,10 +557,9 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_mms(args) -> int:
+    path = _out_dir(args) / f"mms_{args.study}.csv"
     table = verify.mms_convergence(levels=args.levels, study=args.study,
                                    scheme=args.scheme)
-    out = _out_dir(args)
-    path = out / f"mms_{args.study}.csv"
     path.write_text(table.to_csv())
     for k, row in enumerate(table.rows):
         print(
@@ -695,6 +688,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 1
     except MemoryError:
         print("error: the problem does not fit in memory", file=sys.stderr)
+        return 1
+    except OSError as err:  # every read maps its own; this is a write
+        print(f"error: cannot write output: {err}", file=sys.stderr)
         return 1
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)

@@ -109,9 +109,13 @@ class RegionMask:
 
     @classmethod
     def rectangle(cls, grid: GridSpec, x0: float, y0: float, x1: float, y1: float) -> "RegionMask":
-        """Cells whose centers fall in ``[x0, x1] x [y0, y1]``."""
+        """Cells whose centers fall in ``[x0, x1] x [y0, y1]``, at least one."""
+        require(x1 > x0, "x1", "region needs x1 > x0")
+        require(y1 > y0, "y1", "region needs y1 > y0")
         X, Y = grid.cell_centers()
-        return cls(grid, (X >= x0) & (X <= x1) & (Y >= y0) & (Y <= y1))
+        region = cls(grid, (X >= x0) & (X <= x1) & (Y >= y0) & (Y <= y1))
+        require(region.count > 0, "x0", "the control region contains no grid cells")
+        return region
 
     @classmethod
     def everywhere(cls, grid: GridSpec) -> "RegionMask":

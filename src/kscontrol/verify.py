@@ -257,10 +257,6 @@ def logistic_closed_form(c0: float, r: float, mu: float) -> Callable[[float], fl
     return u
 
 
-def _zero_control(grid: GridSpec, time_grid: TimeGrid) -> ControlField:
-    return ControlField.zeros(time_grid, RegionMask.everywhere(grid))
-
-
 # ---------------------------------------------------------------------------
 # manufactured-solution convergence
 # ---------------------------------------------------------------------------
@@ -291,7 +287,7 @@ def _mms_source_u(x, y, t):
     eu = np.exp(-c["SU"] * t)
     ev = np.exp(-c["SV"] * t)
     cx, cy = np.cos(kx * x), np.cos(ky * y)
-    u_exact = c["AU"] + c["BU"] * eu * cx * cy
+    u_exact = _mms_exact_u(x, y, t)
     dt_minus_lap = c["BU"] * eu * cx * cy * (-c["SU"] + kx * kx + ky * ky)
     chemo = -c["kappa"] * kx * kx * c["BV"] * ev * (
         c["AU"] * cx + c["BU"] * eu * cy * np.cos(2.0 * kx * x)
@@ -301,12 +297,10 @@ def _mms_source_u(x, y, t):
 
 def _mms_source_v(x, y, t):
     c = _MMS
-    kx, ky = math.pi / c["Lx"], math.pi / c["Ly"]
-    eu = np.exp(-c["SU"] * t)
+    kx = math.pi / c["Lx"]
     ev = np.exp(-c["SV"] * t)
-    cx, cy = np.cos(kx * x), np.cos(ky * y)
-    u_exact = c["AU"] + c["BU"] * eu * cx * cy
-    return c["BV"] * ev * cx * (-c["SV"] + kx * kx + 1.0) + c["AV"] - u_exact
+    cx = np.cos(kx * x)
+    return c["BV"] * ev * cx * (-c["SV"] + kx * kx + 1.0) + c["AV"] - _mms_exact_u(x, y, t)
 
 
 @dataclass
@@ -349,7 +343,7 @@ def _mms_run_error(nx: int, nt: int, T: float, scheme: Scheme) -> tuple[float, f
     src_v = np.stack([_mms_source_v(X, Y, t) for t in time_grid.times()[1:]])
 
     state = solve_forward(
-        u0, v0, _zero_control(grid, time_grid), params, time_grid,
+        u0, v0, ControlField.zeros(time_grid, RegionMask.everywhere(grid)), params, time_grid,
         PicardSettings(tol=1e-11, max_iters=60), scheme,
         cg_tol=1e-12, source_u=src_u, source_v=src_v,
     )

@@ -49,7 +49,7 @@ def test_control_field_validates_shape():
 
 
 def test_control_region_must_be_nonempty():
-    empty = RegionMask.rectangle(GRID, 2.0, 2.0, 3.0, 3.0)
+    empty = RegionMask(GRID, np.zeros((GRID.nx, GRID.ny), dtype=bool))
     with pytest.raises(ValueError, match="at least one cell"):
         ControlField.zeros(TG, empty)
 

@@ -365,6 +365,14 @@ def test_divergence_error_reports_failing_step():
     assert exc.value.time_index == 0
 
 
+def test_solve_forward_refuses_an_unknown_flux_scheme():
+    tg = TimeGrid(T=0.1, nt=1)
+    ok = constant_field(GRID, 0.5)
+    with pytest.raises(ValueError, match="unknown scheme 'quick'"):
+        solve_forward(ok, ok, _zero_control(tg), ModelParams(kappa=1.0, r=1.0, mu=1.0), tg,
+                      scheme="quick")
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(kappa=1.0, r=1.0, mu=0.0)

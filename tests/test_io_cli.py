@@ -1,6 +1,10 @@
 """Configuration parsing, snapshot files, and the command-line surface."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from kscontrol.io_cli import (
 from kscontrol.mesh import GridSpec
 from kscontrol.optimize import ArmijoSettings, ControlProblem, OptimizeOptions
 
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE_CFG = """
 # small, fast problem shared by the command tests
@@ -281,6 +287,8 @@ def test_expression_validation():
         evaluate_expression("init.u0", "cosine:1,2", GRID)
     with pytest.raises(ConfigError, match="expected a number"):
         evaluate_expression("init.u0", "constant:tall", GRID)
+    with pytest.raises(ConfigError, match="path expression needs a file name"):
+        evaluate_expression("init.u0", "path:  ", GRID)
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +357,26 @@ def test_snapshot_missing_file():
 def test_cli_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+def test_cli_module_entry_point_runs_without_warnings():
+    # the package resolves its command-line names lazily, so running the
+    # module as __main__ does not import it a second time
+    proc = subprocess.run([sys.executable, "-m", "kscontrol.io_cli", "mms", "--help"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: ks-control mms")
+
+
+def test_package_reaches_the_cli_names_lazily():
+    import kscontrol
+
+    for name in ("read_snapshot", "run", "write_snapshot"):
+        assert getattr(kscontrol, name) is getattr(io_cli, name)
+    with pytest.raises(AttributeError, match="no attribute 'walk'"):
+        kscontrol.walk
 
 
 def test_cli_unknown_subcommand_exits_one(capsys):
@@ -530,6 +558,22 @@ def test_cli_failed_start_is_reported_and_the_others_still_written(tmp_path, cap
         "f_best_000000.ksf", "f_best_000001.ksf", "f_best_000002.ksf", "optimize_start00.csv"]
 
 
+def test_cli_optimize_where_every_start_fails_exits_two_and_writes_no_control(tmp_path, capsys):
+    # a control of 1e300 cannot be marched, nor can the extra start drawn
+    # around it
+    cfg = tmp_path / "six.cfg"
+    cfg.write_text(SIX_CFG)
+    out = tmp_path / "out"
+    assert run(["optimize", "--config", str(cfg), "--output", str(out), "--starts", "2",
+                "--set", "control.initial=constant:1e300"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert [line[:len("solver error: start 0: ")] for line in err] == [
+        "solver error: start 0: ", "solver error: start 1: "]
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_trial_step_that_overflows_is_a_rejected_step(base_cfg, tmp_path, capsys):
     # s0 = 1e308 times a gradient above 1.8 overflows f - s d in every trial
@@ -547,16 +591,55 @@ def test_cli_trial_step_that_overflows_is_a_rejected_step(base_cfg, tmp_path, ca
     PicardDivergenceError("fixed point stalled", 1.0, 1),
     LinearSolverError("conjugate gradient did not converge", 1e-3, 1),
 ], ids=lambda err: type(err).__name__)
-def test_cli_any_solver_error_in_a_march_exits_two(error, base_cfg, capsys, monkeypatch):
+def test_cli_any_solver_error_in_a_march_exits_two(error, base_cfg, tmp_path, capsys,
+                                                    monkeypatch):
     # one name decides "a solve failed" for the command line
     def failing_solve_forward(*args, **kwargs):
         raise error
 
     assert isinstance(error, SolverError)
     monkeypatch.setattr(io_cli, "solve_forward", failing_solve_forward)
-    assert run(["simulate", "--config", base_cfg]) == 2
+    assert run(["simulate", "--config", base_cfg, "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"solver error: {error}"]
+
+
+_EVERY_COMMAND = [["simulate", "--config", "{cfg}"], ["invariants", "--config", "{cfg}"],
+                  ["adjoint", "--config", "{cfg}"], ["optimize", "--config", "{cfg}"],
+                  ["grad-check", "--config", "{cfg}"], ["mms", "--levels", "2"]]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("output", ["{file}", "{file}/sub"], ids=["file", "below-a-file"])
+def test_cli_output_that_cannot_be_a_directory_exits_one_before_any_solve(
+        base_cfg, tmp_path, capsys, monkeypatch, argv, output):
+    # the directory is made once the configuration is built, so no solve
+    # runs for output that cannot be written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output directory was made")
+
+    monkeypatch.setattr(io_cli, "solve_forward", no_solve)
+    monkeypatch.setattr(io_cli, "solve", no_solve)
+    monkeypatch.setattr(io_cli, "cost_of_control", no_solve)
+    monkeypatch.setattr(io_cli.verify, "mms_convergence", no_solve)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    argv = [a.format(cfg=base_cfg) for a in argv]
+    assert run([*argv, "--output", output.format(file=blocker)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_cli_write_failure_after_the_march_exits_one(base_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "invariants.csv").mkdir(parents=True)
+    assert run(["simulate", "--config", base_cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+    assert err[0].endswith("invariants.csv'")
 
 
 def test_cli_problem_too_large_for_memory_exits_one(base_cfg, tmp_path, capsys, monkeypatch):
@@ -611,8 +694,8 @@ def test_cli_simulate_rejects_negative_snapshot_cadence(base_cfg, capsys):
     assert err == ["error: output.snapshot_every: unknown configuration key"]
 
 
-def test_cli_solver_failure_exits_two(base_cfg, capsys):
-    rc = run(["simulate", "--config", base_cfg,
+def test_cli_solver_failure_exits_two(base_cfg, tmp_path, capsys):
+    rc = run(["simulate", "--config", base_cfg, "--output", str(tmp_path / "out"),
               "--set", "forward.picard_tol=1e-15",
               "--set", "forward.picard_max_iters=1"])
     assert rc == 2

@@ -8,7 +8,7 @@ exact transpose identity because the adjoint solver is built on it.
 import numpy as np
 import pytest
 
-from kscontrol.errors import GridMismatchError
+from kscontrol.errors import GridMismatchError, InvalidValue
 from kscontrol.mesh import (
     Field2D,
     GridSpec,
@@ -93,6 +93,22 @@ def test_region_mask_counts_cells_in_closed_box():
     # centers at 1/16 + k/8; those in [0.25, 0.75] are k = 2..5 per axis
     assert m.count == 16
     assert RegionMask.everywhere(g).count == 64
+
+
+def test_region_mask_refuses_a_mask_of_another_shape():
+    with pytest.raises(ValueError, match="mask shape does not match grid"):
+        RegionMask(GridSpec(Lx=1.0, Ly=1.0, nx=8, ny=8), np.ones((8, 4), dtype=bool))
+
+
+@pytest.mark.parametrize("box, field, message", [
+    ((0.5, 0.0, 0.5, 1.0), "x1", "region needs x1 > x0"),
+    ((0.0, 0.5, 1.0, float("nan")), "y1", "region needs y1 > y0"),
+    ((2.0, 0.0, 3.0, 1.0), "x0", "the control region contains no grid cells"),
+], ids=["x-not-ordered", "y-nan", "outside-the-domain"])
+def test_rectangle_refuses_an_unordered_or_empty_box(box, field, message):
+    with pytest.raises(InvalidValue) as exc:
+        RegionMask.rectangle(GridSpec(Lx=1.0, Ly=1.0, nx=8, ny=8), *box)
+    assert exc.value.field == field and str(exc.value) == message
 
 
 # ----------------------------------------------------------------------

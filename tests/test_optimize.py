@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kscontrol import forward, linalg, optimize
-from kscontrol.adjoint import check_dual_definite, solve_adjoint
+from kscontrol.adjoint import dual_shifts, solve_adjoint
 from kscontrol.control import (
     AdmissibleSet,
     ControlField,
@@ -320,8 +320,7 @@ def _reference_solve(problem, opts):
                 trial = ControlField(f.time_grid, f.region, vals)
                 try:
                     trial_state, trial_cost = cost_of_control(problem, trial)
-                    check_dual_definite(trial_state.u[1:], vals, problem.params,
-                                        problem.time_grid.tau)
+                    dual_shifts(trial_state.u[1:], vals, problem.params, problem.time_grid.tau)
                 except (StepConditioningError, PicardDivergenceError, LinearSolverError):
                     pass
                 else:

@@ -266,6 +266,11 @@ def test_mms_table_csv_format():
     assert lines[0] == "level,h,tau,error_u,error_v,observed_order_u,observed_order_v"
 
 
+def test_mms_needs_two_levels_for_an_order():
+    with pytest.raises(ValueError, match="at least two refinement levels"):
+        mms_convergence(levels=1)
+
+
 def test_mms_rejects_unknown_study():
     with pytest.raises(ValueError, match="study"):
         mms_convergence(levels=2, study="spectral")

@@ -6,7 +6,9 @@ Runs the R1 configuration of ``tests/test_acceptance.py`` through
 ``kscontrol.run`` in this process, once per command:
 
     simulate    --snapshot-every 1, with central and with upwind fluxes,
-                and with model.kappa=0
+                and with model.kappa=0; and two refused control regions,
+                control.region.x1=0 (not right of x0) and x0=2, x1=3
+                (outside the domain, so empty)
     invariants  with upwind fluxes
     adjoint     with the fluxes and kappa of each simulate run, and with
                 cost.gamma_v=0; each run marches its own state
@@ -56,6 +58,10 @@ COMMANDS = {
     "simulate": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1"],
     "simulate-upwind": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1", *UPWIND],
     "simulate-kappa0": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1", *KAPPA0],
+    "simulate-region-unordered": ["simulate", "--config", "../run.cfg",
+                                  "--set", "control.region.x1=0"],
+    "simulate-region-empty": ["simulate", "--config", "../run.cfg",
+                              "--set", "control.region.x0=2", "--set", "control.region.x1=3"],
     "invariants-upwind": ["invariants", "--config", "../run.cfg", *UPWIND],
     "adjoint": ["adjoint", "--config", "../run.cfg"],
     "adjoint-upwind": ["adjoint", "--config", "../run.cfg", *UPWIND],
