@@ -245,7 +245,7 @@ def step_u(
     defect = (
         params.r * int_ubar
         + int_source
-        - params.mu * float(np.sum(ubar_pos * u_new)) * area
+        - params.mu * float((ubar_pos * u_new).sum()) * area
         - (float(u_new.sum()) - float(u_prev.sum())) * area / tau
     )
     u_new += defect / (grid.Lx * grid.Ly / tau + params.mu * int_ubar)
@@ -340,7 +340,7 @@ def solve_forward(
         # the mass identity with the u_bar_+ the accepted u solve froze
         ubar_pos = np.maximum(u_bar, 0.0)
         int_ubar = float(ubar_pos.sum()) * area
-        int_ubar_unew = float(np.sum(ubar_pos * u_new)) * area
+        int_ubar_unew = float((ubar_pos * u_new).sum()) * area
         int_src = float(src_u.sum()) * area if src_u is not None else 0.0
         mass_residual[n] = ((float(u_new.sum()) - float(u_prev.sum())) * area / tau
                             - params.r * int_ubar + params.mu * int_ubar_unew - int_src)

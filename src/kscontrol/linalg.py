@@ -12,6 +12,7 @@ the grid.  `solve_cg` takes both as callables.  Nothing is ever assembled.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,13 +34,11 @@ def solve_cg(
 
     Parameters
     ----------
-    apply_op : callable
-        Applies the operator to an array, returning a new array.
+    apply_op, precond : callable
+        Apply ``A``, and an SPD approximation of ``A^{-1}``, to an array;
+        each returns a new array.
     rhs : ndarray
         Right-hand side, any shape.
-    precond : callable
-        Applies an SPD approximation of ``A^{-1}`` to a residual, returning
-        a new array.
     rtol : float
         Relative residual target ``||rhs - A x|| <= rtol * ||rhs||``.
     x0 : ndarray, optional
@@ -52,10 +51,10 @@ def solve_cg(
         not met within ``rhs.size + 100`` iterations.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the rescale path
-        b_norm = float(np.sqrt(np.sum(rhs * rhs)))
-    if not np.isfinite(b_norm):
+        b_norm = math.sqrt((rhs * rhs).sum())
+    if not math.isfinite(b_norm):
         scale = float(np.max(np.abs(rhs)))
-        if not np.isfinite(scale):
+        if not math.isfinite(scale):
             raise LinearSolverError("conjugate gradient: right-hand side norm is not finite", b_norm)
         # finite entries whose squares overflow: solve for rhs / max|rhs|
         return scale * solve_cg(apply_op, rhs / scale, precond, rtol,
@@ -71,24 +70,24 @@ def solve_cg(
         r = rhs - apply_op(x)
 
     target = rtol * b_norm
-    r_norm = float(np.sqrt(np.sum(r * r)))
+    r_norm = math.sqrt((r * r).sum())
     if r_norm <= target:
         return x
 
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
+    p = precond(r).copy()  # updated in place below
+    rz = float((r * p).sum())
     for _ in range(rhs.size + 100):
         ap = apply_op(p)
-        alpha = rz / float(np.sum(p * ap))
+        alpha = rz / float((p * ap).sum())
         x += alpha * p
         r -= alpha * ap
-        r_norm = float(np.sqrt(np.sum(r * r)))
+        r_norm = math.sqrt((r * r).sum())
         if r_norm <= target:
             return x
         z = precond(r)
-        rz_next = float(np.sum(r * z))
-        p = z + (rz_next / rz) * p
+        rz_next = float((r * z).sum())
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise LinearSolverError("conjugate gradient did not converge", r_norm / b_norm)
 
@@ -113,7 +112,7 @@ def solve_shifted(
     hx, hy = grid.hx, grid.hy
     cx, eig_x = _dct_basis(grid.nx, hx)
     cy, eig_y = _dct_basis(grid.ny, hy)
-    inv_eig = 1.0 / (float(np.mean(shift)) + eig_x[:, None] + eig_y[None, :])
+    inv_eig = 1.0 / (float(np.asarray(shift).mean()) + eig_x[:, None] + eig_y[None, :])
 
     def apply_op(x: np.ndarray) -> np.ndarray:
         return shift * x - mesh.laplacian_array(x, hx, hy)

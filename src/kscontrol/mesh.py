@@ -2,25 +2,22 @@
 
 The grid covers ``[0, Lx] x [0, Ly]`` with ``nx * ny`` uniform cells; all
 unknowns live at cell centers ``((i + 0.5) hx, (j + 0.5) hy)`` stored in
-arrays of shape ``(nx, ny)``.  Every operator is the divergence of fluxes
-on the interior faces, and homogeneous Neumann conditions enter as zero flux
-on the boundary faces.  That makes every operator here conservative: the
-discrete integral of ``laplacian_array`` and of
-``chemotaxis_divergence_arrays`` vanishes identically because interior face
-fluxes telescope.
+arrays of shape ``(nx, ny)``.  Every operator is the divergence of fluxes on
+the interior faces, with zero flux on the boundary faces (homogeneous
+Neumann), so interior fluxes telescope and every operator is conservative;
+the transposes the dual needs sit beside their stencils.
 
-Besides the two divergence-form operators the module provides the exact
-transpose of the chemotaxis stencil with respect to its density argument
-(needed by the dual problem) and a face-coefficient diffusion operator that
-is self-transposed.  Keeping the transposes here, next to the stencils they
-mirror, is what makes the discrete duality identity checkable to solver
-precision.  Every operator maps plain ``(nx, ny)`` arrays to arrays;
-`Field2D` only checks values that enter from outside (initial data,
-targets, sampled expressions) against their grid.
+The stencils work on the flat C-order view ``f`` of a field.  Its x-faces
+are ``f[ny:] - f[:-ny]``, a contiguous ``(nx-1) * ny`` block; its y-faces
+are ``f[1:] - f[:-1]``, whose entries ``ny-1::ny`` pair the last cell of a
+row with the first of the next: row breaks, not faces.  Each stencil zeroes
+its y-fluxes there before they scatter, so every cell sees the operations,
+in the order, of the two-dimensional face form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -135,29 +132,31 @@ def check_same_grid(*objs) -> GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# stencils on (nx, ny) arrays
+# stencils on (nx, ny) arrays, computed on their flat C-order views
 # ---------------------------------------------------------------------------
 
 def laplacian_array(vals: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """Five-point Neumann Laplacian: divergence of the interior face gradients."""
-    return _divergence(*_face_gradients(vals, hx, hy), hx, hy)
+    ny = vals.shape[-1]
+    return _divergence(*_face_gradients(vals.ravel(), ny, hx, hy), ny, hx, hy).reshape(vals.shape)
 
 
-def _face_gradients(v: np.ndarray, hx: float, hy: float):
-    """Interior face differences over the two trailing axes."""
-    gx = (v[..., 1:, :] - v[..., :-1, :]) / hx
-    gy = (v[..., 1:] - v[..., :-1]) / hy
-    return gx, gy
+def _face_gradients(f: np.ndarray, ny: int, hx: float, hy: float):
+    """Face differences along the last axis of flat fields with rows of ``ny``;
+    the y-differences keep their row breaks."""
+    return (f[..., ny:] - f[..., :-ny]) / hx, (f[..., 1:] - f[..., :-1]) / hy
 
 
-def _divergence(fx: np.ndarray, fy: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Divergence of interior face fluxes; boundary faces carry zero flux."""
-    out = np.zeros((fx.shape[0] + 1, fx.shape[1]))
+def _divergence(fx: np.ndarray, fy: np.ndarray, ny: int, hx: float, hy: float) -> np.ndarray:
+    """Flat divergence of flat interior face fluxes; the boundary faces and
+    the row breaks carry zero flux."""
+    out = np.zeros(fy.size + 1)
     dx, dy = fx / hx, fy / hy
-    out[:-1, :] += dx
-    out[1:, :] -= dx
-    out[:, :-1] += dy
-    out[:, 1:] -= dy
+    dy[ny - 1::ny] = 0.0
+    out[:-ny] += dx
+    out[ny:] -= dx
+    out[:-1] += dy
+    out[1:] -= dy
     return out
 
 
@@ -169,18 +168,15 @@ def _face_weights(gx: np.ndarray, gy: np.ndarray, scheme: Scheme):
     for flux ``u * grad v``).
     """
     if scheme == "central":
-        wx = wy = 0.5
-    elif scheme == "upwind":
-        wx = (gx > 0.0).astype(float)
-        wy = (gy > 0.0).astype(float)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return wx, wy
+        return 0.5, 0.5
+    if scheme == "upwind":
+        return (gx > 0.0).astype(float), (gy > 0.0).astype(float)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _face_average(c: np.ndarray, wx, wy):
-    """``c`` on the interior x- and y-faces, weighted by `_face_weights`."""
-    return wx * c[:-1, :] + (1.0 - wx) * c[1:, :], wy * c[:, :-1] + (1.0 - wy) * c[:, 1:]
+def _face_average(c: np.ndarray, ny: int, wx, wy):
+    """Flat ``c`` on the x- and y-faces, weighted by `_face_weights`."""
+    return wx * c[:-ny] + (1.0 - wx) * c[ny:], wy * c[:-1] + (1.0 - wy) * c[1:]
 
 
 def chemotaxis_divergence_arrays(
@@ -192,9 +188,10 @@ def chemotaxis_divergence_arrays(
     operator is linear in ``u``; the linearized solver freezes the donor
     pattern by passing the base state as ``v``.
     """
-    gx, gy = _face_gradients(v, hx, hy)
-    ux, uy = _face_average(u, *_face_weights(gx, gy, scheme))
-    return _divergence(ux * gx, uy * gy, hx, hy)
+    ny = v.shape[-1]
+    gx, gy = _face_gradients(v.ravel(), ny, hx, hy)
+    ux, uy = _face_average(u.ravel(), ny, *_face_weights(gx, gy, scheme))
+    return _divergence(ux * gx, uy * gy, ny, hx, hy).reshape(v.shape)
 
 
 def chemotaxis_adjoint_arrays(
@@ -207,18 +204,19 @@ def chemotaxis_adjoint_arrays(
     respect to the cell-area inner product; since the weights do not depend
     on ``u`` the identity ``<C u, w> = <u, C^T w>`` holds to round-off.
     """
-    gx, gy = _face_gradients(v, hx, hy)
+    ny = v.shape[-1]
+    gx, gy = _face_gradients(v.ravel(), ny, hx, hy)
     wx, wy = _face_weights(gx, gy, scheme)
-
-    tx = gx * (w[1:, :] - w[:-1, :]) / hx
-    ty = gy * (w[:, 1:] - w[:, :-1]) / hy
-
-    out = np.zeros_like(w)
-    out[:-1, :] -= wx * tx
-    out[1:, :] -= (1.0 - wx) * tx
-    out[:, :-1] -= wy * ty
-    out[:, 1:] -= (1.0 - wy) * ty
-    return out
+    f = w.ravel()
+    tx = gx * (f[ny:] - f[:-ny]) / hx
+    ty = gy * (f[1:] - f[:-1]) / hy
+    ty[ny - 1::ny] = 0.0
+    out = np.zeros(f.size)
+    out[:-ny] -= wx * tx
+    out[ny:] -= (1.0 - wx) * tx
+    out[:-1] -= wy * ty
+    out[1:] -= (1.0 - wy) * ty
+    return out.reshape(w.shape)
 
 
 def weighted_diffusion_arrays(
@@ -231,20 +229,23 @@ def weighted_diffusion_arrays(
     both the state linearization in ``phi`` and its transpose in the second
     dual equation.
     """
-    sx, sy = _face_gradients(ref, hx, hy)
-    cx, cy = _face_average(coeff, *_face_weights(sx, sy, scheme))
-    fx = cx * (phi[1:, :] - phi[:-1, :]) / hx
-    fy = cy * (phi[:, 1:] - phi[:, :-1]) / hy
-    return _divergence(fx, fy, hx, hy)
+    ny = ref.shape[-1]
+    sx, sy = _face_gradients(ref.ravel(), ny, hx, hy)
+    cx, cy = _face_average(coeff.ravel(), ny, *_face_weights(sx, sy, scheme))
+    f = phi.ravel()
+    fx = cx * (f[ny:] - f[:-ny]) / hx
+    fy = cy * (f[1:] - f[:-1]) / hy
+    return _divergence(fx, fy, ny, hx, hy).reshape(phi.shape)
 
 
 def l2_norm_array(vals: np.ndarray, cell_area: float) -> float:
-    return float(np.sqrt(np.sum(vals * vals) * cell_area))
+    return math.sqrt((vals * vals).sum() * cell_area)
 
 
 def h1_seminorm_array(vals: np.ndarray, hx: float, hy: float, cell_area: float):
-    """H1 seminorm from face differences over the two trailing axes, so one
-    call serves a single field or a ``(levels, nx, ny)`` stack."""
-    gx, gy = _face_gradients(vals, hx, hy)
-    axes = (-2, -1)
-    return np.sqrt((np.sum(gx * gx, axis=axes) + np.sum(gy * gy, axis=axes)) * cell_area)
+    """H1 seminorm of a field, or of each level of a ``(levels, nx, ny)`` stack;
+    the y-sums skip the row breaks, since summed zeros would move their last bit."""
+    nx, ny = vals.shape[-2:]
+    gx, gy = _face_gradients(vals.reshape(vals.shape[:-2] + (nx * ny,)), ny, hx, hy)
+    gy = np.delete(gy, np.s_[ny - 1::ny], axis=-1)
+    return np.sqrt(((gx * gx).sum(axis=-1) + (gy * gy).sum(axis=-1)) * cell_area)

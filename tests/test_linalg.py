@@ -23,6 +23,16 @@ def test_cg_matches_dense_solve():
     np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=1e-11)
 
 
+def test_cg_accepts_a_preconditioner_that_returns_its_argument():
+    # CG updates its search direction in place, so that direction must not
+    # be the residual an identity preconditioner hands back
+    rng = np.random.default_rng(7)
+    a = _spd_system(20, rng)
+    b = rng.standard_normal(20)
+    x = solve_cg(lambda v: a @ v, b, lambda r: r, rtol=1e-12)
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=1e-11)
+
+
 def test_cg_zero_rhs_returns_zero():
     rng = np.random.default_rng(6)
     a = _spd_system(10, rng)

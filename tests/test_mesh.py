@@ -319,3 +319,131 @@ def test_norms_of_constant():
     vals = constant_field(g, -3.0).values
     np.testing.assert_allclose(l2_norm_array(vals, g.cell_area), 3.0)  # |domain| = 1
     assert h1_seminorm_array(vals, g.hx, g.hy, g.cell_area) == 0.0
+
+
+# ----------------------------------------------------------------------
+# flat stencils against their two-dimensional forms, bit for bit
+#
+# `mesh` computes every stencil on the flat C-order view of its fields,
+# where the y-face differences also pair the last cell of each row with
+# the first cell of the next.  The forms below index faces in two
+# dimensions and meet no such row break; each flat stencil must match
+# its form exactly, so it must take the same floating-point operations
+# per element, in the same order.
+
+
+def _ref_face_gradients(v, hx, hy):
+    return (v[..., 1:, :] - v[..., :-1, :]) / hx, (v[..., 1:] - v[..., :-1]) / hy
+
+
+def _ref_divergence(fx, fy, hx, hy):
+    out = np.zeros((fx.shape[0] + 1, fx.shape[1]))
+    dx, dy = fx / hx, fy / hy
+    out[:-1, :] += dx
+    out[1:, :] -= dx
+    out[:, :-1] += dy
+    out[:, 1:] -= dy
+    return out
+
+
+def _ref_face_weights(gx, gy, scheme):
+    if scheme == "central":
+        return 0.5, 0.5
+    return (gx > 0.0).astype(float), (gy > 0.0).astype(float)
+
+
+def _ref_face_average(c, wx, wy):
+    return wx * c[:-1, :] + (1.0 - wx) * c[1:, :], wy * c[:, :-1] + (1.0 - wy) * c[:, 1:]
+
+
+def _ref_laplacian(v, hx, hy):
+    return _ref_divergence(*_ref_face_gradients(v, hx, hy), hx, hy)
+
+
+def _ref_chemotaxis_divergence(u, v, hx, hy, scheme):
+    gx, gy = _ref_face_gradients(v, hx, hy)
+    ux, uy = _ref_face_average(u, *_ref_face_weights(gx, gy, scheme))
+    return _ref_divergence(ux * gx, uy * gy, hx, hy)
+
+
+def _ref_chemotaxis_adjoint(w, v, hx, hy, scheme):
+    gx, gy = _ref_face_gradients(v, hx, hy)
+    wx, wy = _ref_face_weights(gx, gy, scheme)
+    tx = gx * (w[1:, :] - w[:-1, :]) / hx
+    ty = gy * (w[:, 1:] - w[:, :-1]) / hy
+    out = np.zeros_like(w)
+    out[:-1, :] -= wx * tx
+    out[1:, :] -= (1.0 - wx) * tx
+    out[:, :-1] -= wy * ty
+    out[:, 1:] -= (1.0 - wy) * ty
+    return out
+
+
+def _ref_weighted_diffusion(coeff, phi, ref, hx, hy, scheme):
+    sx, sy = _ref_face_gradients(ref, hx, hy)
+    cx, cy = _ref_face_average(coeff, *_ref_face_weights(sx, sy, scheme))
+    fx = cx * (phi[1:, :] - phi[:-1, :]) / hx
+    fy = cy * (phi[:, 1:] - phi[:, :-1]) / hy
+    return _ref_divergence(fx, fy, hx, hy)
+
+
+def _ref_h1_seminorm(vals, hx, hy, cell_area):
+    gx, gy = _ref_face_gradients(vals, hx, hy)
+    axes = (-2, -1)
+    return np.sqrt((np.sum(gx * gx, axis=axes) + np.sum(gy * gy, axis=axes)) * cell_area)
+
+
+def _oracle_fields(shape, kind, seed):
+    """Three mixed-sign fields; ``jump`` adds +-1e6 across every row break,
+    so a flux leaking over one shows as an O(1e8) error at these spacings."""
+    rng = np.random.default_rng(seed)
+    fields = [rng.uniform(-1.0, 1.0, size=shape) for _ in range(3)]
+    if kind == "jump":
+        for f in fields:
+            f[:, -1] += 1e6
+            f[:, 0] -= 1e6
+    return fields
+
+
+def _assert_bitwise(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+ORACLE_SHAPES = [(2, 2), (2, 7), (7, 2), (13, 9)]
+
+
+@pytest.mark.parametrize("kind", ["random", "jump"])
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_flat_laplacian_matches_its_2d_form_bitwise(shape, kind):
+    g = GridSpec(Lx=1.3, Ly=0.7, nx=shape[0], ny=shape[1])  # hx != hy, neither a power of 2
+    v, _, _ = _oracle_fields(shape, kind, 31)
+    _assert_bitwise(laplacian_array(v, g.hx, g.hy), _ref_laplacian(v, g.hx, g.hy))
+
+
+@pytest.mark.parametrize("scheme", ["central", "upwind"])
+@pytest.mark.parametrize("kind", ["random", "jump"])
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_flat_flux_stencils_match_their_2d_forms_bitwise(shape, kind, scheme):
+    g = GridSpec(Lx=1.3, Ly=0.7, nx=shape[0], ny=shape[1])
+    a, b, c = _oracle_fields(shape, kind, 32)
+    h = (g.hx, g.hy)
+    _assert_bitwise(chemotaxis_divergence_arrays(a, b, *h, scheme),
+                    _ref_chemotaxis_divergence(a, b, *h, scheme))
+    _assert_bitwise(chemotaxis_adjoint_arrays(a, b, *h, scheme),
+                    _ref_chemotaxis_adjoint(a, b, *h, scheme))
+    _assert_bitwise(weighted_diffusion_arrays(a, b, c, *h, scheme),
+                    _ref_weighted_diffusion(a, b, c, *h, scheme))
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_h1_seminorm_keeps_the_bits_of_its_2d_form(shape):
+    # a stack of levels, as the invariants monitor passes it, and one field;
+    # summing zeros at the row breaks would regroup NumPy's pairwise sums
+    # and move the last bit of some of these levels
+    g = GridSpec(Lx=1.3, Ly=0.7, nx=shape[0], ny=shape[1])
+    levels = np.random.default_rng(33).uniform(-1.0, 1.0, size=(24, *shape))
+    stack = np.concatenate([levels, _oracle_fields(shape, "jump", 34)])
+    for vals in (stack, stack[0]):
+        _assert_bitwise(h1_seminorm_array(vals, g.hx, g.hy, g.cell_area),
+                        _ref_h1_seminorm(vals, g.hx, g.hy, g.cell_area))

@@ -19,6 +19,10 @@ Runs the R1 configuration of ``tests/test_acceptance.py`` through
     grad-check  with central and with upwind fluxes, and with
                 model.kappa=0 and cost.gamma_u=0
     mms         --levels 2, spatial and temporal
+    *-nonsquare simulate (upwind, --snapshot-every 1), adjoint and
+                grad-check (central) on a 12x8 grid over [0, 1.5] x [0, 1],
+                so that the flat stencils meet row breaks with nx != ny
+                and hx != hy
 
 Each command runs in ``OUTDIR/<name>/`` with relative paths, so nothing in
 its output names OUTDIR.  Its files land in ``files/`` and its stdout,
@@ -52,6 +56,7 @@ from pathlib import Path
 BOX = ["--set", "control.kind=box", "--set", "control.f_min=-1", "--set", "control.f_max=1"]
 UPWIND = ["--set", "forward.scheme=upwind"]
 KAPPA0 = ["--set", "model.kappa=0"]
+NONSQUARE = ["--set", "grid.nx=12", "--set", "grid.ny=8", "--set", "domain.Lx=1.5"]
 
 # name -> arguments after the command word; "../run.cfg" is the R1 config
 COMMANDS = {
@@ -81,6 +86,10 @@ COMMANDS = {
     "grad-check-upwind": ["grad-check", "--config", "../run.cfg", *UPWIND],
     "grad-check-kappa0": ["grad-check", "--config", "../run.cfg", *KAPPA0,
                           "--set", "cost.gamma_u=0"],
+    "simulate-nonsquare": ["simulate", "--config", "../run.cfg", "--snapshot-every", "1",
+                           *NONSQUARE, *UPWIND],
+    "adjoint-nonsquare": ["adjoint", "--config", "../run.cfg", *NONSQUARE],
+    "grad-check-nonsquare": ["grad-check", "--config", "../run.cfg", *NONSQUARE],
     "mms": ["mms", "--levels", "2"],
     "mms-temporal": ["mms", "--study", "temporal", "--levels", "2"],
 }
