@@ -17,9 +17,9 @@ bookkeeping:
   ``lam`` equation contains the transposed convection ``-kappa grad lam .
   grad v``, which is not symmetric.  Both couplings are resolved by the
   forward solver's own loop, `kscontrol.forward.coupled_fixed_point`,
-  which lags them one inner sweep and leaves only shifted Laplacians for
-  `kscontrol.linalg.solve_shifted`.  At convergence the coupled equations
-  hold exactly.
+  which lags them one inner sweep and leaves only shifted Laplacians, set up
+  once per level by `kscontrol.linalg.shifted_solver` and reused by every
+  sweep.  At convergence the coupled equations hold exactly.
 
 Backward from the zero terminal pair, step ``m`` solves (all coefficients
 at level ``m+1``, ``w`` the trapezoid weight of level ``m+1``)
@@ -144,16 +144,18 @@ def solve_adjoint(
         # coefficients frozen at level m+1, tracking sources with its weight
         u_new, v_new, w = state.u[m + 1], state.v[m + 1], level_weights[m + 1]
         upos, shift_lam, shift_eta = dual_shifts(u_new, control.array_at(m), params, tau)
+        solve_lam = linalg.shifted_solver(grid, shift_lam)
+        solve_eta = linalg.shifted_solver(grid, shift_eta)
         rhs_lam_base = lam[m + 1] * inv_tau + w * weights.gamma_u * (u_new - u_d[m + 1])
         rhs_eta_base = eta[m + 1] * inv_tau + w * weights.gamma_v * (v_new - v_d[m + 1])
 
         def sweep(lam_bar: np.ndarray, eta_bar: np.ndarray):
             rhs_eta = rhs_eta_base - params.kappa * mesh.weighted_diffusion_arrays(
                 upos, lam_bar, v_new, hx, hy, scheme)
-            eta_now = linalg.solve_shifted(grid, shift_eta, rhs_eta, rtol=cg_tol, x0=eta_bar)
+            eta_now = solve_eta(rhs_eta, cg_tol, eta_bar)
             rhs_lam = rhs_lam_base + eta_now - params.kappa * mesh.chemotaxis_adjoint_arrays(
                 lam_bar, v_new, hx, hy, scheme)
-            lam_now = linalg.solve_shifted(grid, shift_lam, rhs_lam, rtol=cg_tol, x0=lam_bar)
+            lam_now = solve_lam(rhs_lam, cg_tol, lam_bar)
             return lam_now, eta_now
 
         (lam[m], eta[m]), _, _ = coupled_fixed_point(
@@ -201,6 +203,8 @@ def solve_linearized_dual(
     for m in range(nt):
         v_new = state.v[m + 1]
         upos, shift_u, shift_v = dual_shifts(state.u[m + 1], control.array_at(m), params, tau)
+        solve_u = linalg.shifted_solver(grid, shift_u)
+        solve_v = linalg.shifted_solver(grid, shift_v)
         rhs_u_base = source_u[m] + u_prev * inv_tau
         rhs_v_base = source_v[m] + v_prev * inv_tau
 
@@ -208,9 +212,8 @@ def solve_linearized_dual(
             rhs_u = rhs_u_base - params.kappa * (
                 mesh.chemotaxis_divergence_arrays(u_bar, v_new, hx, hy, scheme)
                 + mesh.weighted_diffusion_arrays(upos, v_bar, v_new, hx, hy, scheme))
-            u_lin = linalg.solve_shifted(grid, shift_u, rhs_u, rtol=cg_tol, x0=u_bar)
-            v_lin = linalg.solve_shifted(grid, shift_v, rhs_v_base + u_lin,
-                                         rtol=cg_tol, x0=v_bar)
+            u_lin = solve_u(rhs_u, cg_tol, u_bar)
+            v_lin = solve_v(rhs_v_base + u_lin, cg_tol, v_bar)
             return u_lin, v_lin
 
         (u_prev, v_prev), _, _ = coupled_fixed_point(

@@ -14,9 +14,10 @@ Time discretization is backward Euler with a per-step Picard (fixed-point)
 loop, `coupled_fixed_point`, which `solve_forward` runs on each level's
 sweep: the sweep freezes the positive parts of the previous iterate pair,
 solves the ``v`` equation (`step_v`), then the ``u`` equation (`step_u`),
-both shifted Laplacians handed to `kscontrol.linalg.solve_shifted`.  The
-dual and linearized marches in `kscontrol.adjoint` reuse the same loop and
-the same solve; the loop alone raises `PicardDivergenceError`, and raises
+both shifted Laplacians from `kscontrol.linalg`; the ``v`` shift is one
+scalar over a march, so `scalar_solver` caches its DCT inverse.  The
+dual and linearized marches in `kscontrol.adjoint` reuse the same loop;
+the loop alone raises `PicardDivergenceError`, and raises
 a sweep's `LinearSolverError` again, each naming the step it was given.
 At convergence the step is fully implicit.  Freezing *positive parts*
 rather than raw iterates keeps every lagged coefficient nonnegative, which
@@ -204,14 +205,15 @@ def step_v(
     """One implicit ``v`` solve with lagged positive-part sources.
 
     Solves ``(1/tau + 1) v - lap v = v_prev / tau + u_bar_+ + f v_bar_+``
-    (plus ``source``) from the warm start ``x0``.  The matrix is symmetric
-    positive definite independent of the data; with nonnegative right-hand
-    side the M-matrix structure keeps ``v`` nonnegative.
+    (plus ``source``) by the DCT inverse, exact for this scalar shift, so
+    ``cg_tol`` and ``x0`` go unused.  The matrix is symmetric positive
+    definite independent of the data; with nonnegative right-hand side the
+    M-matrix structure keeps ``v`` nonnegative.
     """
     rhs = v_prev / tau + np.maximum(u_bar, 0.0) + f_now * np.maximum(v_bar, 0.0)
     if source is not None:
         rhs = rhs + source
-    return linalg.solve_shifted(grid, 1.0 / tau + 1.0, rhs, rtol=cg_tol, x0=x0)
+    return linalg.scalar_solver(grid, 1.0 / tau + 1.0)(rhs, cg_tol, x0)
 
 
 def step_u(

@@ -2,11 +2,11 @@
 
 Every implicit system the forward, dual and linearized steppers assemble is
 a shifted Neumann Laplacian ``(c - lap_h) y = b`` with a positive shift
-``c``, scalar or per cell, so one CG routine covers every solve.
-`solve_shifted` builds that operator and its preconditioner, the exact
-inverse of ``mean(c) - lap_h`` in the DCT-II basis that diagonalizes the
-cell-centred Neumann ``lap_h``; the iteration count then does not grow with
-the grid.  `solve_cg` takes both as callables.  Nothing is ever assembled.
+``c``, scalar or per cell.  `shifted_solver` sets one such operator up once
+for all its right-hand sides.  The DCT-II basis diagonalizes the cell-centred
+Neumann ``lap_h``, so there the inverse of ``mean(c) - lap_h`` is the solve for
+a scalar ``c``; for a per-cell ``c`` it preconditions `solve_cg`, whose
+iteration count then does not grow with the grid.  Nothing is ever assembled.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ def solve_cg(
         If ``rhs`` has an infinite or NaN entry, or the residual target is
         not met within ``rhs.size + 100`` iterations.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the rescale path
-        b_norm = math.sqrt((rhs * rhs).sum())
+    b_norm = math.sqrt(np.vdot(rhs, rhs))  # an overflow to inf takes the rescale path
     if not math.isfinite(b_norm):
         scale = float(np.max(np.abs(rhs)))
         if not math.isfinite(scale):
@@ -70,22 +69,22 @@ def solve_cg(
         r = rhs - apply_op(x)
 
     target = rtol * b_norm
-    r_norm = math.sqrt((r * r).sum())
+    r_norm = math.sqrt(np.vdot(r, r))
     if r_norm <= target:
         return x
 
     p = precond(r).copy()  # updated in place below
-    rz = float((r * p).sum())
+    rz = float(np.vdot(r, p))
     for _ in range(rhs.size + 100):
         ap = apply_op(p)
-        alpha = rz / float((p * ap).sum())
+        alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
-        r_norm = math.sqrt((r * r).sum())
+        r_norm = math.sqrt(np.vdot(r, r))
         if r_norm <= target:
             return x
         z = precond(r)
-        rz_next = float((r * z).sum())
+        rz_next = float(np.vdot(r, z))
         p *= rz_next / rz
         p += z
         rz = rz_next
@@ -103,16 +102,17 @@ def _dct_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return basis, eig
 
 
-def solve_shifted(
-    grid: mesh.GridSpec, shift, rhs: np.ndarray,
-    rtol: float = DEFAULT_CG_TOL, x0: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Solve ``shift * y - lap_h y = rhs`` on ``grid`` by DCT-preconditioned CG;
-    ``shift`` is a positive scalar or one positive value per cell."""
+def shifted_solver(grid: mesh.GridSpec, shift) -> Callable[..., np.ndarray]:
+    """Set up ``shift * y - lap_h y = rhs`` on ``grid`` once, for a positive
+    scalar ``shift`` or one positive value per cell; returns ``solve(rhs,
+    rtol, x0)``.  For a scalar shift that is the exact DCT inverse, which
+    ignores ``rtol`` and ``x0``; for a per-cell shift, DCT-preconditioned
+    `solve_cg`.  Either raises `LinearSolverError` on a non-finite ``rhs``.
+    """
     hx, hy = grid.hx, grid.hy
     cx, eig_x = _dct_basis(grid.nx, hx)
     cy, eig_y = _dct_basis(grid.ny, hy)
-    inv_eig = 1.0 / (float(np.asarray(shift).mean()) + eig_x[:, None] + eig_y[None, :])
+    inv_eig = 1.0 / (float(np.mean(shift)) + eig_x[:, None] + eig_y[None, :])
 
     def apply_op(x: np.ndarray) -> np.ndarray:
         return shift * x - mesh.laplacian_array(x, hx, hy)
@@ -120,4 +120,24 @@ def solve_shifted(
     def precond(r: np.ndarray) -> np.ndarray:
         return cx.T @ ((cx @ r @ cy.T) * inv_eig) @ cy
 
-    return solve_cg(apply_op, rhs, precond, rtol=rtol, x0=x0)
+    def solve(rhs, rtol=DEFAULT_CG_TOL, x0=None):
+        return solve_cg(apply_op, rhs, precond, rtol=rtol, x0=x0)
+
+    def solve_exact(rhs, rtol=DEFAULT_CG_TOL, x0=None):
+        if not np.isfinite(rhs).all():  # CG's contract; this path has no norm to test
+            raise LinearSolverError("shifted solve: right-hand side is not finite", math.nan)
+        return precond(rhs)
+
+    return solve_exact if np.ndim(shift) == 0 else solve
+
+
+# the forward ``v`` step solves with one scalar shift over a whole march
+scalar_solver = functools.lru_cache(maxsize=4)(shifted_solver)
+
+
+def solve_shifted(
+    grid: mesh.GridSpec, shift, rhs: np.ndarray,
+    rtol: float = DEFAULT_CG_TOL, x0: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One solve of `shifted_solver`, for a shift that changes every call."""
+    return shifted_solver(grid, shift)(rhs, rtol, x0)

@@ -144,19 +144,23 @@ def laplacian_array(vals: np.ndarray, hx: float, hy: float) -> np.ndarray:
 def _face_gradients(f: np.ndarray, ny: int, hx: float, hy: float):
     """Face differences along the last axis of flat fields with rows of ``ny``;
     the y-differences keep their row breaks."""
-    return (f[..., ny:] - f[..., :-ny]) / hx, (f[..., 1:] - f[..., :-1]) / hy
+    gx, gy = f[..., ny:] - f[..., :-ny], f[..., 1:] - f[..., :-1]
+    gx /= hx
+    gy /= hy
+    return gx, gy
 
 
 def _divergence(fx: np.ndarray, fy: np.ndarray, ny: int, hx: float, hy: float) -> np.ndarray:
-    """Flat divergence of flat interior face fluxes; the boundary faces and
-    the row breaks carry zero flux."""
+    """Flat divergence of flat interior face fluxes, which it divides in
+    place; the boundary faces and the row breaks carry zero flux."""
     out = np.zeros(fy.size + 1)
-    dx, dy = fx / hx, fy / hy
-    dy[ny - 1::ny] = 0.0
-    out[:-ny] += dx
-    out[ny:] -= dx
-    out[:-1] += dy
-    out[1:] -= dy
+    fx /= hx
+    fy /= hy
+    fy[ny - 1::ny] = 0.0
+    out[:-ny] += fx
+    out[ny:] -= fx
+    out[:-1] += fy
+    out[1:] -= fy
     return out
 
 
@@ -239,13 +243,17 @@ def weighted_diffusion_arrays(
 
 
 def l2_norm_array(vals: np.ndarray, cell_area: float) -> float:
-    return math.sqrt((vals * vals).sum() * cell_area)
+    return math.sqrt(np.vdot(vals, vals) * cell_area)
 
 
 def h1_seminorm_array(vals: np.ndarray, hx: float, hy: float, cell_area: float):
     """H1 seminorm of a field, or of each level of a ``(levels, nx, ny)`` stack;
-    the y-sums skip the row breaks, since summed zeros would move their last bit."""
-    nx, ny = vals.shape[-2:]
-    gx, gy = _face_gradients(vals.reshape(vals.shape[:-2] + (nx * ny,)), ny, hx, hy)
-    gy = np.delete(gy, np.s_[ny - 1::ny], axis=-1)
-    return np.sqrt(((gx * gx).sum(axis=-1) + (gy * gy).sum(axis=-1)) * cell_area)
+    one face stack at a time, each from the 2-D view, which has no row breaks."""
+    total = 0.0
+    for axis, h in ((-2, hx), (-1, hy)):
+        g = np.diff(vals, axis=axis)
+        g /= h
+        g *= g
+        total = total + g.sum(axis=(-2, -1))
+        del g  # before the next stack is built
+    return np.sqrt(total * cell_area)

@@ -5,7 +5,7 @@ import pytest
 
 from kscontrol import linalg
 from kscontrol.errors import LinearSolverError
-from kscontrol.linalg import solve_cg, solve_shifted
+from kscontrol.linalg import shifted_solver, solve_cg, solve_shifted
 from kscontrol.mesh import GridSpec, laplacian_array
 
 
@@ -145,6 +145,11 @@ def test_shifted_solve_operator_and_preconditioner_match_dense_matrix(case, monk
     rhs = rng.standard_normal((grid.nx, grid.ny))
     y = solve_shifted(grid, shift, rhs, rtol=1e-13)
 
+    if case == "scalar":  # mean(shift) - lap_h is the operator: the DCT inverse solves
+        assert captured == {"applies": 0}
+        np.testing.assert_allclose(y.ravel(), np.linalg.solve(dense, rhs.ravel()),
+                                   rtol=1e-12, atol=0.0)
+        return
     units = [e.reshape(grid.nx, grid.ny) for e in np.eye(n)]
     columns = [captured["apply_op"](e).ravel() for e in units]
     np.testing.assert_allclose(np.array(columns).T, dense, rtol=1e-13, atol=1e-12)
@@ -172,3 +177,33 @@ def test_shifted_solve_iterations_do_not_grow_with_the_mesh(nx, ny, Ly, per_cell
     assert captured["applies"] <= (12 if per_cell else 2)
     residual = shift * y - laplacian_array(y, grid.hx, grid.hy) - rhs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_scalar_shift_solve_rejects_non_finite_rhs(bad):
+    # the DCT inverse has no norm to test, so it checks the entries, as CG
+    # rejects the same right-hand side
+    grid = GridSpec(Lx=1.0, Ly=1.0, nx=5, ny=4)
+    rhs = np.ones((5, 4))
+    rhs[2, 1] = bad
+    with pytest.raises(LinearSolverError, match="not finite"):
+        solve_shifted(grid, 2.5, rhs)
+    with pytest.raises(LinearSolverError, match="not finite"):
+        shifted_solver(grid, 2.5)(rhs, 1e-10, np.zeros((5, 4)))
+
+
+@pytest.mark.parametrize("per_cell", [True, False], ids=["per-cell", "scalar"])
+def test_a_solver_built_once_gives_the_bits_of_fresh_solves(per_cell):
+    # a dual level sets its solvers up once and reuses them every sweep, and
+    # a scalar shift's solver is cached, so the set-up must hold nothing that
+    # one solve changes: the fresh solves below run in the other order
+    rng = np.random.default_rng(12)
+    grid = GridSpec(Lx=1.0, Ly=1.3, nx=7, ny=5)
+    shift = rng.uniform(1.0, 4.0, size=(7, 5)) if per_cell else 3.5
+    first, second = rng.standard_normal((2, 7, 5))
+    x0 = rng.standard_normal((7, 5))
+    solve = shifted_solver(grid, shift)
+    reused = [solve(first, 1e-10, x0), solve(second, 1e-10, x0)]
+    fresh = [solve_shifted(grid, shift, b, rtol=1e-10, x0=x0) for b in (second, first)]
+    for a, b in zip(reused, fresh[::-1]):
+        np.testing.assert_array_equal(a, b)

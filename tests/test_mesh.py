@@ -5,6 +5,8 @@ symmetric and conservative, and the chemotaxis divergence must satisfy an
 exact transpose identity because the adjoint solver is built on it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -447,3 +449,18 @@ def test_h1_seminorm_keeps_the_bits_of_its_2d_form(shape):
     for vals in (stack, stack[0]):
         _assert_bitwise(h1_seminorm_array(vals, g.hx, g.hy, g.cell_area),
                         _ref_h1_seminorm(vals, g.hx, g.hy, g.cell_area))
+
+
+def test_h1_seminorm_holds_few_face_stacks_at_once():
+    # the invariants monitor passes the whole level stack: one face stack
+    # at a time, and no compacted copy of the y-faces
+    g = GridSpec(Lx=1.0, Ly=1.0, nx=128, ny=128)
+    stack = np.random.default_rng(35).uniform(-1.0, 1.0, size=(3, 128, 128))
+    h1_seminorm_array(stack, g.hx, g.hy, g.cell_area)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        h1_seminorm_array(stack, g.hx, g.hy, g.cell_area)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * stack.nbytes

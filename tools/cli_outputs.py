@@ -1,6 +1,7 @@
 """Record what every `ks-control` command writes for one fixed configuration.
 
     python3 tools/cli_outputs.py OUTDIR [--repo CHECKOUT]
+    python3 tools/cli_outputs.py --compare BEFORE AFTER [--rtol 1e-9]
 
 Runs the R1 configuration of ``tests/test_acceptance.py`` through
 ``kscontrol.run`` in this process, once per command:
@@ -41,6 +42,16 @@ flags, but none of its outputs, is checked with each checkout's own copy
 of this script instead:
 
     python3 ../parent-checkout/tools/cli_outputs.py ../before
+
+A change that moves numbers at solver tolerance (another summation order,
+a direct solve in place of CG) cannot pass ``diff -r``; compare its two
+output directories with ``--compare`` instead.  Per entry the exit code,
+stderr, the KSF headers and the text with its numbers masked must match
+exactly, and each number in stdout or a CSV, and each KSF value, must agree
+within ``rtol`` times the largest finite magnitude in its file.  That scale
+absorbs printed round-off quantities such as mass residuals and
+finite-difference errors.  Use ``diff -r`` for a refactor that must keep
+every bit, ``--compare`` for a change at solver tolerance.
 """
 
 from __future__ import annotations
@@ -49,9 +60,13 @@ import argparse
 import ast
 import contextlib
 import io
+import math
 import os
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 BOX = ["--set", "control.kind=box", "--set", "control.f_min=-1", "--set", "control.f_max=1"]
 UPWIND = ["--set", "forward.scheme=upwind"]
@@ -105,11 +120,77 @@ def r1_config(repo: Path) -> str:
     raise SystemExit(f"no R1_CFG in {repo}/tests/test_acceptance.py")
 
 
+# a decimal number, or nan / inf as Python prints them
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+KSF_HEADER_BYTES = 24
+
+
+def deviation(before: np.ndarray, after: np.ndarray) -> float:
+    """Largest ``|after - before|`` over the largest finite ``|before|``; inf
+    when the counts, or the places of non-finite values, differ."""
+    if before.shape != after.shape:
+        return math.inf
+    same = (before == after) | (np.isnan(before) & np.isnan(after))
+    if same.all():
+        return 0.0
+    finite = np.isfinite(before)
+    scale = float(np.max(np.abs(before[finite]), initial=0.0))
+    if not (finite | same).all() or not np.isfinite(after[~same]).all() or scale == 0.0:
+        return math.inf
+    return float(np.max(np.abs(after[~same] - before[~same]))) / scale
+
+
+def compare_file(before: Path, after: Path):
+    """The `deviation` of one output file, or what differs in it exactly."""
+    a, b = before.read_bytes(), after.read_bytes()
+    if a == b:
+        return 0.0
+    if before.name in ("exit_code.txt", "stderr.txt"):
+        return "differs"
+    if before.suffix == ".ksf":
+        if len(a) != len(b) or a[:KSF_HEADER_BYTES] != b[:KSF_HEADER_BYTES]:
+            return "KSF header or size differs"
+        return deviation(*(np.frombuffer(x, "<f8", offset=KSF_HEADER_BYTES) for x in (a, b)))
+    a, b = a.decode(), b.decode()
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return "text differs with its numbers masked"
+    return deviation(*(np.array([float(x) for x in NUMBER.findall(t)]) for t in (a, b)))
+
+
+def compare(before: Path, after: Path, rtol: float) -> int:
+    """Print what fails and each entry's worst deviation; return 1 on a failure."""
+    files = {side: {p.relative_to(side) for p in side.rglob("*") if p.is_file()}
+             for side in (before, after)}
+    failed = sorted(files[before] ^ files[after])
+    for rel in failed:
+        print(f"{rel}: only in {before if rel in files[before] else after}")
+    worst: dict[str, float] = {}
+    for rel in sorted(files[before] & files[after]):
+        result = compare_file(before / rel, after / rel)
+        if isinstance(result, str) or result > rtol:
+            failed.append(rel)
+            print(f"{rel}: {result if isinstance(result, str) else f'deviation {result:.2e}'}")
+            result = math.inf
+        worst[rel.parts[0]] = max(worst.get(rel.parts[0], 0.0), result)
+    for entry, dev in worst.items():
+        print(f"{entry}: {'FAILED' if dev > rtol else f'worst deviation {dev:.2e}'}")
+    passing = max((d for d in worst.values() if d <= rtol), default=0.0)
+    print(f"{len(files[before])} files, {len(failed)} failed, worst passing deviation "
+          f"{passing:.2e} (rtol {rtol:g})")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("outdir", type=Path)
+    parser.add_argument("outdir", type=Path, nargs="?")
     parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"))
+    parser.add_argument("--rtol", type=float, default=1e-9)
     args = parser.parse_args(argv)
+    if (args.outdir is None) == (args.compare is None):
+        parser.error("give either OUTDIR or --compare BEFORE AFTER")
+    if args.compare:
+        return compare(*(p.resolve() for p in args.compare), args.rtol)
 
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
