@@ -15,7 +15,7 @@ loop, `coupled_fixed_point`, which `solve_forward` runs on each level's
 sweep: the sweep freezes the positive parts of the previous iterate pair,
 solves the ``v`` equation (`step_v`), then the ``u`` equation (`step_u`),
 both shifted Laplacians from `kscontrol.linalg`; the ``v`` shift is one
-scalar over a march, so `scalar_solver` caches its DCT inverse.  The
+scalar over a march, so the march sets its DCT inverse up once.  The
 dual and linearized marches in `kscontrol.adjoint` reuse the same loop;
 the loop alone raises `PicardDivergenceError`, and raises
 a sweep's `LinearSolverError` again, each naming the step it was given.
@@ -199,21 +199,24 @@ def coupled_fixed_point(
 
 def step_v(
     grid: GridSpec, v_prev: np.ndarray, u_bar: np.ndarray, v_bar: np.ndarray,
-    f_now: np.ndarray, tau: float, cg_tol: float = DEFAULT_CG_TOL,
-    source: Optional[np.ndarray] = None, x0: Optional[np.ndarray] = None,
+    f_now: np.ndarray, tau: float, source: Optional[np.ndarray] = None,
+    solve_v: Optional[Callable[..., np.ndarray]] = None,
 ) -> np.ndarray:
     """One implicit ``v`` solve with lagged positive-part sources.
 
     Solves ``(1/tau + 1) v - lap v = v_prev / tau + u_bar_+ + f v_bar_+``
-    (plus ``source``) by the DCT inverse, exact for this scalar shift, so
-    ``cg_tol`` and ``x0`` go unused.  The matrix is symmetric positive
-    definite independent of the data; with nonnegative right-hand side the
-    M-matrix structure keeps ``v`` nonnegative.
+    (plus ``source``) by the DCT inverse, exact for this scalar shift.
+    ``solve_v`` is ``linalg.shifted_solver(grid, 1/tau + 1)``, which a march
+    sets up once; it is set up here when not given.  The matrix is symmetric
+    positive definite independent of the data; with nonnegative right-hand
+    side the M-matrix structure keeps ``v`` nonnegative.
     """
     rhs = v_prev / tau + np.maximum(u_bar, 0.0) + f_now * np.maximum(v_bar, 0.0)
     if source is not None:
         rhs = rhs + source
-    return linalg.scalar_solver(grid, 1.0 / tau + 1.0)(rhs, cg_tol, x0)
+    if solve_v is None:
+        solve_v = linalg.shifted_solver(grid, 1.0 / tau + 1.0)
+    return solve_v(rhs)
 
 
 def step_u(
@@ -325,6 +328,7 @@ def solve_forward(
     mass_residual = np.zeros(nt)
 
     area = grid.cell_area
+    solve_v = linalg.shifted_solver(grid, 1.0 / tau + 1.0)  # one scalar shift per march
     for n in range(nt):
         if on_level is not None:
             on_level(n, u[n], v[n])
@@ -333,7 +337,7 @@ def solve_forward(
         src_v = None if source_v is None else source_v[n]
 
         def sweep(u_bar: np.ndarray, v_bar: np.ndarray):
-            v_new = step_v(grid, v_prev, u_bar, v_bar, f_now, tau, cg_tol, src_v, v_bar)
+            v_new = step_v(grid, v_prev, u_bar, v_bar, f_now, tau, src_v, solve_v)
             u_new = step_u(grid, u_prev, u_bar, v_new, params, tau, scheme, cg_tol, src_u, u_bar)
             return u_new, v_new
 

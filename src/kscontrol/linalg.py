@@ -112,7 +112,7 @@ def shifted_solver(grid: mesh.GridSpec, shift) -> Callable[..., np.ndarray]:
     hx, hy = grid.hx, grid.hy
     cx, eig_x = _dct_basis(grid.nx, hx)
     cy, eig_y = _dct_basis(grid.ny, hy)
-    inv_eig = 1.0 / (float(np.mean(shift)) + eig_x[:, None] + eig_y[None, :])
+    inv_eig = 1.0 / (float(np.asarray(shift).mean()) + eig_x[:, None] + eig_y[None, :])
 
     def apply_op(x: np.ndarray) -> np.ndarray:
         return shift * x - mesh.laplacian_array(x, hx, hy)
@@ -129,10 +129,6 @@ def shifted_solver(grid: mesh.GridSpec, shift) -> Callable[..., np.ndarray]:
         return precond(rhs)
 
     return solve_exact if np.ndim(shift) == 0 else solve
-
-
-# the forward ``v`` step solves with one scalar shift over a whole march
-scalar_solver = functools.lru_cache(maxsize=4)(shifted_solver)
 
 
 def solve_shifted(

@@ -195,8 +195,8 @@ def test_scalar_shift_solve_rejects_non_finite_rhs(bad):
 @pytest.mark.parametrize("per_cell", [True, False], ids=["per-cell", "scalar"])
 def test_a_solver_built_once_gives_the_bits_of_fresh_solves(per_cell):
     # a dual level sets its solvers up once and reuses them every sweep, and
-    # a scalar shift's solver is cached, so the set-up must hold nothing that
-    # one solve changes: the fresh solves below run in the other order
+    # a march its scalar `v` solver, so the set-up must hold nothing that one
+    # solve changes: the fresh solves below run in the other order
     rng = np.random.default_rng(12)
     grid = GridSpec(Lx=1.0, Ly=1.3, nx=7, ny=5)
     shift = rng.uniform(1.0, 4.0, size=(7, 5)) if per_cell else 3.5

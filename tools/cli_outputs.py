@@ -1,7 +1,7 @@
 """Record what every `ks-control` command writes for one fixed configuration.
 
     python3 tools/cli_outputs.py OUTDIR [--repo CHECKOUT]
-    python3 tools/cli_outputs.py --compare BEFORE AFTER [--rtol 1e-9]
+    python3 tools/cli_outputs.py --compare BEFORE AFTER
 
 Runs the R1 configuration of ``tests/test_acceptance.py`` through
 ``kscontrol.run`` in this process, once per command:
@@ -47,11 +47,14 @@ A change that moves numbers at solver tolerance (another summation order,
 a direct solve in place of CG) cannot pass ``diff -r``; compare its two
 output directories with ``--compare`` instead.  Per entry the exit code,
 stderr, the KSF headers and the text with its numbers masked must match
-exactly, and each number in stdout or a CSV, and each KSF value, must agree
-within ``rtol`` times the largest finite magnitude in its file.  That scale
-absorbs printed round-off quantities such as mass residuals and
-finite-difference errors.  Use ``diff -r`` for a refactor that must keep
-every bit, ``--compare`` for a change at solver tolerance.
+exactly.  Each number must agree within ``RTOL`` (1e-9) times the largest
+finite magnitude in its column: a CSV column, the values of one KSF field,
+or in other text the numbers at one place of lines that read alike with
+their numbers masked.  A column labelled as a round-off measure (a relative
+error, an identity residual) is compared absolutely, within ``RTOL``, since
+it moves by the round-off of what it measures.  Use ``diff -r`` for a
+refactor that must keep every bit, ``--compare`` for a change at solver
+tolerance.
 """
 
 from __future__ import annotations
@@ -123,41 +126,68 @@ def r1_config(repo: Path) -> str:
 # a decimal number, or nan / inf as Python prints them
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 KSF_HEADER_BYTES = 24
+RTOL = 1e-9
+# labels of round-off measures: a relative error, or the residual of an
+# identity that holds exactly; they move by the round-off of what they measure
+ROUND_OFF = ("rel_error", "relative error", "identity_residual")
 
 
-def deviation(before: np.ndarray, after: np.ndarray) -> float:
-    """Largest ``|after - before|`` over the largest finite ``|before|``; inf
-    when the counts, or the places of non-finite values, differ."""
-    if before.shape != after.shape:
-        return math.inf
+def columns(text: str, csv: bool) -> dict[str, list[float]]:
+    """The numbers of an output text by column: a CSV's by its header, other
+    text's by its number-masked line up to the number, which ends in its label."""
+    if csv:
+        header, *rows = text.splitlines()
+        cells = [row.split(",") for row in rows]
+        return {name: [float(c[i]) for c in cells] for i, name in enumerate(header.split(","))}
+    found: dict[str, list[float]] = {}
+    for line in text.splitlines():
+        labels = NUMBER.split(line)
+        for i, x in enumerate(NUMBER.findall(line)):
+            found.setdefault("#".join(labels[:i + 1]), []).append(float(x))
+    return found
+
+
+def deviation(before: np.ndarray, after: np.ndarray, scale: float) -> float:
+    """Largest ``|after - before| / scale``; inf when the places of
+    non-finite values differ, or a value moves from a scale of zero."""
     same = (before == after) | (np.isnan(before) & np.isnan(after))
     if same.all():
         return 0.0
-    finite = np.isfinite(before)
-    scale = float(np.max(np.abs(before[finite]), initial=0.0))
-    if not (finite | same).all() or not np.isfinite(after[~same]).all() or scale == 0.0:
+    moved = ~same
+    if not (np.isfinite(before) | same).all() or not np.isfinite(after[moved]).all() or scale == 0:
         return math.inf
-    return float(np.max(np.abs(after[~same] - before[~same]))) / scale
+    return float(np.max(np.abs(after[moved] - before[moved]))) / scale
+
+
+def column_deviation(label: str, before: np.ndarray, after: np.ndarray) -> float:
+    """The `deviation` of one column: relative to its largest finite ``|before|``,
+    or absolute for a round-off measure."""
+    if any(name in label.rsplit("#", 1)[-1] for name in ROUND_OFF):
+        return deviation(before, after, 1.0)
+    finite = np.abs(before[np.isfinite(before)])
+    return deviation(before, after, float(np.max(finite, initial=0.0)))
 
 
 def compare_file(before: Path, after: Path):
-    """The `deviation` of one output file, or what differs in it exactly."""
+    """The worst `column_deviation` of one output file, or what differs in it exactly."""
     a, b = before.read_bytes(), after.read_bytes()
     if a == b:
         return 0.0
     if before.name in ("exit_code.txt", "stderr.txt"):
         return "differs"
-    if before.suffix == ".ksf":
+    if before.suffix == ".ksf":  # one field
         if len(a) != len(b) or a[:KSF_HEADER_BYTES] != b[:KSF_HEADER_BYTES]:
             return "KSF header or size differs"
-        return deviation(*(np.frombuffer(x, "<f8", offset=KSF_HEADER_BYTES) for x in (a, b)))
+        return column_deviation("values", *(np.frombuffer(x, "<f8", offset=KSF_HEADER_BYTES)
+                                            for x in (a, b)))
     a, b = a.decode(), b.decode()
     if NUMBER.sub("#", a) != NUMBER.sub("#", b):
         return "text differs with its numbers masked"
-    return deviation(*(np.array([float(x) for x in NUMBER.findall(t)]) for t in (a, b)))
+    cols_a, cols_b = (columns(t, before.suffix == ".csv") for t in (a, b))
+    return max(column_deviation(k, np.array(cols_a[k]), np.array(cols_b[k])) for k in cols_a)
 
 
-def compare(before: Path, after: Path, rtol: float) -> int:
+def compare(before: Path, after: Path) -> int:
     """Print what fails and each entry's worst deviation; return 1 on a failure."""
     files = {side: {p.relative_to(side) for p in side.rglob("*") if p.is_file()}
              for side in (before, after)}
@@ -167,16 +197,16 @@ def compare(before: Path, after: Path, rtol: float) -> int:
     worst: dict[str, float] = {}
     for rel in sorted(files[before] & files[after]):
         result = compare_file(before / rel, after / rel)
-        if isinstance(result, str) or result > rtol:
+        if isinstance(result, str) or result > RTOL:
             failed.append(rel)
             print(f"{rel}: {result if isinstance(result, str) else f'deviation {result:.2e}'}")
             result = math.inf
         worst[rel.parts[0]] = max(worst.get(rel.parts[0], 0.0), result)
     for entry, dev in worst.items():
-        print(f"{entry}: {'FAILED' if dev > rtol else f'worst deviation {dev:.2e}'}")
-    passing = max((d for d in worst.values() if d <= rtol), default=0.0)
+        print(f"{entry}: {'FAILED' if dev > RTOL else f'worst deviation {dev:.2e}'}")
+    passing = max((d for d in worst.values() if d <= RTOL), default=0.0)
     print(f"{len(files[before])} files, {len(failed)} failed, worst passing deviation "
-          f"{passing:.2e} (rtol {rtol:g})")
+          f"{passing:.2e} (rtol {RTOL:g})")
     return 1 if failed else 0
 
 
@@ -185,12 +215,11 @@ def main(argv=None) -> int:
     parser.add_argument("outdir", type=Path, nargs="?")
     parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"))
-    parser.add_argument("--rtol", type=float, default=1e-9)
     args = parser.parse_args(argv)
     if (args.outdir is None) == (args.compare is None):
         parser.error("give either OUTDIR or --compare BEFORE AFTER")
     if args.compare:
-        return compare(*(p.resolve() for p in args.compare), args.rtol)
+        return compare(*(p.resolve() for p in args.compare))
 
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
