@@ -628,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     adj = sub.add_parser("adjoint", help="march the state, then sweep the dual system along it")
     _add_common(adj)
 
-    opt = sub.add_parser("optimize", help="projected-gradient descent on the control")
+    opt = sub.add_parser("optimize", help="projected L-BFGS descent on the control")
     _add_common(opt)
     opt.add_argument("--seed", type=_COUNT, default=0, help="seed for the extra starts")
     opt.add_argument("--starts", type=_POSITIVE_COUNT, default=1,

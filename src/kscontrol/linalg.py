@@ -6,7 +6,9 @@ a shifted Neumann Laplacian ``(c - lap_h) y = b`` with a positive shift
 for all its right-hand sides.  The DCT-II basis diagonalizes the cell-centred
 Neumann ``lap_h``, so there the inverse of ``mean(c) - lap_h`` is the solve for
 a scalar ``c``; for a per-cell ``c`` it preconditions `solve_cg`, whose
-iteration count then does not grow with the grid.  Nothing is ever assembled.
+iteration count then does not grow with the grid.  Since that preconditioner
+inverts the operator less a diagonal exactly, CG forms its operator products
+by a recurrence instead of a stencil apply.  Nothing is ever assembled.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ def solve_cg(
     precond: Callable[[np.ndarray], np.ndarray],
     rtol: float = DEFAULT_CG_TOL,
     x0: Optional[np.ndarray] = None,
+    offset: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Solve ``A x = rhs`` for SPD ``A`` given by ``apply_op``.
 
@@ -43,6 +46,12 @@ def solve_cg(
         Relative residual target ``||rhs - A x|| <= rtol * ||rhs||``.
     x0 : ndarray, optional
         Warm start.  Defaults to zero.
+    offset : ndarray, optional
+        A diagonal, broadcast against ``rhs``, such that ``precond`` is the
+        exact inverse of ``M = A - diag(offset)``.  Then ``M p`` follows the
+        search direction by the recurrence ``M p0 = r0``, ``M p <- r + beta M p``,
+        so ``A p = M p + offset p`` and ``apply_op`` runs only for a warm
+        start's initial residual.
 
     Raises
     ------
@@ -57,7 +66,7 @@ def solve_cg(
             raise LinearSolverError("conjugate gradient: right-hand side norm is not finite", b_norm)
         # finite entries whose squares overflow: solve for rhs / max|rhs|
         return scale * solve_cg(apply_op, rhs / scale, precond, rtol,
-                                None if x0 is None else x0 / scale)
+                                None if x0 is None else x0 / scale, offset)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
 
@@ -74,9 +83,14 @@ def solve_cg(
         return x
 
     p = precond(r).copy()  # updated in place below
+    mp = None if offset is None else r.copy()  # M p, updated with p
     rz = float(np.vdot(r, p))
     for _ in range(rhs.size + 100):
-        ap = apply_op(p)
+        if mp is None:
+            ap = apply_op(p)
+        else:
+            ap = offset * p
+            ap += mp
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
@@ -85,8 +99,12 @@ def solve_cg(
             return x
         z = precond(r)
         rz_next = float(np.vdot(r, z))
-        p *= rz_next / rz
+        beta = rz_next / rz
+        p *= beta
         p += z
+        if mp is not None:
+            mp *= beta
+            mp += r
         rz = rz_next
     raise LinearSolverError("conjugate gradient did not converge", r_norm / b_norm)
 
@@ -106,13 +124,17 @@ def shifted_solver(grid: mesh.GridSpec, shift) -> Callable[..., np.ndarray]:
     """Set up ``shift * y - lap_h y = rhs`` on ``grid`` once, for a positive
     scalar ``shift`` or one positive value per cell; returns ``solve(rhs,
     rtol, x0)``.  For a scalar shift that is the exact DCT inverse, which
-    ignores ``rtol`` and ``x0``; for a per-cell shift, DCT-preconditioned
-    `solve_cg`.  Either raises `LinearSolverError` on a non-finite ``rhs``.
+    ignores ``rtol`` and ``x0``; for a per-cell shift, `solve_cg`
+    preconditioned by the exact inverse at the mean shift, with the rest of
+    the shift as its ``offset``.  Either raises `LinearSolverError` on a
+    non-finite ``rhs``.
     """
     hx, hy = grid.hx, grid.hy
     cx, eig_x = _dct_basis(grid.nx, hx)
     cy, eig_y = _dct_basis(grid.ny, hy)
-    inv_eig = 1.0 / (float(np.asarray(shift).mean()) + eig_x[:, None] + eig_y[None, :])
+    per_cell = np.ndim(shift) != 0
+    mean = shift.sum() / shift.size if per_cell else shift  # np.mean's bits, not its wrapper
+    inv_eig = 1.0 / (mean + eig_x[:, None] + eig_y[None, :])
 
     def apply_op(x: np.ndarray) -> np.ndarray:
         return shift * x - mesh.laplacian_array(x, hx, hy)
@@ -120,15 +142,17 @@ def shifted_solver(grid: mesh.GridSpec, shift) -> Callable[..., np.ndarray]:
     def precond(r: np.ndarray) -> np.ndarray:
         return cx.T @ ((cx @ r @ cy.T) * inv_eig) @ cy
 
+    offset = shift - mean if per_cell else None
+
     def solve(rhs, rtol=DEFAULT_CG_TOL, x0=None):
-        return solve_cg(apply_op, rhs, precond, rtol=rtol, x0=x0)
+        return solve_cg(apply_op, rhs, precond, rtol=rtol, x0=x0, offset=offset)
 
     def solve_exact(rhs, rtol=DEFAULT_CG_TOL, x0=None):
         if not np.isfinite(rhs).all():  # CG's contract; this path has no norm to test
             raise LinearSolverError("shifted solve: right-hand side is not finite", math.nan)
         return precond(rhs)
 
-    return solve_exact if np.ndim(shift) == 0 else solve
+    return solve if per_cell else solve_exact
 
 
 def solve_shifted(

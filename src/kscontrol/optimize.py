@@ -1,4 +1,4 @@
-"""Projected-gradient minimization of the tracking + regularization cost.
+"""Projected L-BFGS minimization of the tracking + regularization cost.
 
 The reduced cost of a control ``f`` is
 
@@ -9,8 +9,12 @@ with tracking integrals over the space-time cylinder (trapezoid rule in
 time) and the control term over the control cylinder (left-endpoint rule,
 matching the forward scheme's sampling).  Each outer iteration runs one
 forward solve, one dual solve, assembles the reduced gradient, and takes a
-projected step with Armijo backtracking; each search after the first starts
-next to the step the previous one accepted.  Convergence is declared on the
+projected step with Armijo backtracking.  The step is a two-loop L-BFGS
+product (Nocedal, Math. Comp. 1980) on the cells off an epsilon-active set
+for the box (Bertsekas, SIAM J. Control Optim. 1982), with every inner
+product in L2(Q_c), the metric in which the reduced gradient is the Riesz
+representative; the first search, and any whose quasi-Newton direction
+fails, steps along the projected gradient.  Convergence is declared on the
 projected-gradient fixed-point residual at unit step, which vanishes
 exactly at points satisfying the first-order variational inequality.
 
@@ -35,6 +39,7 @@ from .control import (
     control_cost,
     project,
     qc_norm,
+    qc_weight,
     reduced_gradient,
     require_well_posed,
     vi_residual,
@@ -48,6 +53,9 @@ from .forward import (
 )
 from .linalg import DEFAULT_CG_TOL
 from .mesh import Field2D, GridSpec, RegionMask, Scheme
+
+LBFGS_MEMORY = 10  # curvature pairs kept, newest last
+ACTIVE_EPS = 1e-2  # widest band next to a bound that the active set takes in
 
 
 @dataclass(frozen=True)
@@ -65,11 +73,13 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class ArmijoSettings:
-    """Backtracking line search: a trial step ``s`` is accepted once
-    ``J(trial) <= J(f) - c1 / s * ||f - trial||^2``, else ``s *= shrink``,
-    at most ``max_backtracks`` times.  ``s0`` is the first trial of the first
-    search and the cap on every later first trial, which is the previous
-    accepted step over ``shrink``."""
+    """Backtracking line search: a trial step ``s`` along the direction
+    ``p`` is accepted once ``J(trial) <= J(f) - c1 * <d, f - trial>`` (a
+    quasi-Newton search, from ``s = 1``) or ``J(trial) <= J(f) - c1 / s *
+    ||f - trial||^2`` (a gradient search, ``p = d``), else ``s *= shrink``,
+    at most ``max_backtracks`` times.  ``s0`` is the first trial of a
+    gradient search only: the first search, and any that replaces a failed
+    quasi-Newton search."""
 
     c1: float = 1e-4
     shrink: float = 0.5
@@ -130,7 +140,9 @@ class ControlProblem:
 class IterateRecord:
     """One iterate and the search that reached it (all zero for iterate 0).
 
-    ``backtracks`` counts the rejected trials, clipped repeats included;
+    ``step_size`` is the accepted ``s`` along its search's direction;
+    ``backtracks`` counts the rejected trials, clipped repeats and a failed
+    quasi-Newton search's trials included;
     ``trial_marches`` the forward marches the search started, stopped ones
     included, and ``trial_levels`` the levels those marches computed.
     """
@@ -295,37 +307,72 @@ def kkt_report(
     )
 
 
+def _two_loop(d: np.ndarray, free: np.ndarray, pairs: list, inner) -> np.ndarray:
+    """The L-BFGS direction: on the ``free`` cells the two-loop product
+    ``H d`` of the free part of ``d`` (Nocedal's recursion over ``pairs`` of
+    ``(s, y, <s, y>)``, oldest first, from ``H0 = <s, y> / <y, y>`` of the
+    newest), and ``d`` itself on the others."""
+    q = np.where(free, d, 0.0)
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alphas.append(inner(s, q) / sy)
+        q -= alphas[-1] * y
+    _, y, sy = pairs[-1]
+    q *= sy / inner(y, y)
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - inner(y, q) / sy) * s
+    return np.where(free, q, d)
+
+
 def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) -> OptimizeReport:
-    """Run projected gradient with Armijo backtracking.
+    """Run projected L-BFGS in the L2(Q_c) metric with Armijo backtracking.
 
     Returns the iterate history (cost breakdown, residual, accepted step
     size, backtracks and the search's marches and levels per iteration)
-    together with the final control.  The cost sequence is strictly
-    decreasing: a step is accepted only with sufficient decrease
-    proportional to the squared projected step, and with its gradient.
-    The first search starts at ``s0``, each later one at
-    ``min(s_accepted / shrink, s0)`` from the step the previous search
-    accepted.  Each trial asks each solver once: `cost_of_control` marches
-    it under the Armijo ceiling, stopping at the first level whose running
-    cost proves the rejection, and a trial that passes takes its dual sweep
+    together with the final control.  Each accepted step stores the pair
+    ``s = f_new - f``, ``y = d_new - d`` if ``<s, y> > 0``, keeping the
+    newest `LBFGS_MEMORY`; every inner product is `qc_norm`'s.  The cells
+    within ``min(ACTIVE_EPS, vi_residual)`` of a bound that the gradient
+    pushes outward are active (Bertsekas' epsilon-active set): there the
+    direction ``p`` is ``d``, on the others the two-loop product ``H d``
+    (`_two_loop`).  Trials are ``P(f - s p)``.  A search with pairs starts
+    at ``s = 1`` and accepts ``J(trial) <= J - c1 <d, f - trial>``; the
+    first search, and the one that replaces a quasi-Newton search whose
+    predicted decrease ``<d, f - trial>`` is not positive or whose
+    backtracks run out, drops the pairs and steps along ``p = d`` from
+    ``s0`` with the test ``J(trial) <= J - c1 / s * ||f - trial||^2``.  The
+    cost sequence is strictly decreasing, and a step is accepted only with
+    its gradient.
+
+    Each trial asks each solver once: `cost_of_control` marches it under
+    the Armijo ceiling, stopping at the first level whose running cost
+    proves the rejection, and a trial that passes takes its dual sweep
     (`gradient_of_control`).  A trial that either solver cannot take is
     rejected like one without sufficient decrease; a trial that clipping
     leaves bit for bit equal to the one rejected before it, and one whose
     step overflows to a non-finite control, is rejected without a march;
-    each trajectory is released once its gradient is taken.  If the line
-    search exhausts its backtracks the best iterate so far is returned with
-    ``reason = "line_search_failure"``.  Only solving needs a minimizer to
-    exist: `require_well_posed` raises `ValueError` before the first march.
+    each trajectory is released once its gradient is taken.  If the
+    gradient search exhausts its backtracks the best iterate so far is
+    returned with ``reason = "line_search_failure"``.  Only solving needs a
+    minimizer to exist: `require_well_posed` raises `ValueError` before the
+    first march.
     """
     require_well_posed(problem.weights, problem.admissible)
     arm = opts.armijo
+    lo, hi = problem.admissible.f_min, problem.admissible.f_max
     f = problem.initial_control()
     state, cost = cost_of_control(problem, f)
     d = gradient_of_control(problem, f, state)
     del state  # each search holds one trajectory at a time
 
+    weight = qc_weight(f)
+
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        return weight * float(np.vdot(a, b))
+
     nt = problem.time_grid.nt
     records: list[IterateRecord] = []
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     step_taken = 0.0
     backtracks_taken = trial_marches = trial_levels = 0
     reason = "max_iters"
@@ -340,47 +387,68 @@ def solve(problem: ControlProblem, opts: OptimizeOptions = OptimizeOptions()) ->
         if iteration == opts.max_iters:
             break
 
-        s = min(step_taken / arm.shrink, arm.s0) if iteration else arm.s0
-        previous = b""
-        trial_marches = trial_levels = 0
-        for backtrack in range(arm.max_backtracks + 1):
-            if backtrack:  # every rejection below lands here
-                s *= arm.shrink
-            with np.errstate(over="ignore"):  # an overflowing step is rejected below
-                trial_vals = np.clip(f.values - s * d.values, problem.admissible.f_min,
-                                     problem.admissible.f_max)
-            trial_bits = trial_vals.tobytes()
-            if trial_bits == previous:
-                continue  # the rejected trial again: same march, a larger decrease asked
-            previous = trial_bits
-            try:
-                f_trial = ControlField(f.time_grid, f.region, trial_vals)
-            except InvalidValue:
-                continue  # a step that overflowed to a non-finite control
-            ceiling = cost.j_total - arm.c1 / s * qc_norm(f.values - trial_vals, f) ** 2
-            trial_marches += 1
-            try:
-                state_trial, cost_trial = cost_of_control(problem, f_trial, ceiling)
-            except (CostAboveCeiling, SolverError) as err:
-                # a march stopped by its cost or by the forward solver computed
-                # the levels before its `time_index`
-                trial_levels += err.time_index
-                continue
-            trial_levels += nt
-            try:
-                if not cost_trial.j_total <= ceiling:  # a nan ceiling rejects too
+        searches = [(d.values, arm.s0, False)]  # the gradient search, popped last
+        if pairs:
+            eps = min(ACTIVE_EPS, res)
+            dv, fv = d.values, f.values
+            active = ((fv <= lo + eps) & (dv > 0.0)) | ((fv >= hi - eps) & (dv < 0.0))
+            searches.append((_two_loop(dv, ~active, pairs, inner), 1.0, True))
+        trials = trial_marches = trial_levels = 0
+        d_trial = None
+        while searches and d_trial is None:
+            p, s, quasi_newton = searches.pop()
+            previous = b""
+            for backtrack in range(arm.max_backtracks + 1):
+                if backtrack:  # every rejection below lands here
+                    s *= arm.shrink
+                trials += 1
+                with np.errstate(over="ignore"):  # an overflowing step is rejected below
+                    trial_vals = np.clip(f.values - s * p, lo, hi)
+                trial_bits = trial_vals.tobytes()
+                if trial_bits == previous:
+                    continue  # the rejected trial again: same march, a larger decrease asked
+                previous = trial_bits
+                try:
+                    f_trial = ControlField(f.time_grid, f.region, trial_vals)
+                except InvalidValue:
+                    continue  # a step that overflowed to a non-finite control
+                if quasi_newton:
+                    decrease = inner(d.values, f.values - trial_vals)
+                    if not decrease > 0.0:
+                        break  # not a descent direction: the gradient search takes over
+                    ceiling = cost.j_total - arm.c1 * decrease
+                else:
+                    ceiling = cost.j_total - arm.c1 / s * qc_norm(f.values - trial_vals, f) ** 2
+                trial_marches += 1
+                try:
+                    state_trial, cost_trial = cost_of_control(problem, f_trial, ceiling)
+                except (CostAboveCeiling, SolverError) as err:
+                    # a march stopped by its cost or by the forward solver computed
+                    # the levels before its `time_index`
+                    trial_levels += err.time_index
                     continue
-                d = gradient_of_control(problem, f_trial, state_trial)
-            except SolverError:
-                continue  # the dual cannot take the trial: a step too long like any other
-            finally:
-                del state_trial  # released before the next march
-            break
-        else:
+                trial_levels += nt
+                try:
+                    if not cost_trial.j_total <= ceiling:  # a nan ceiling rejects too
+                        continue
+                    d_trial = gradient_of_control(problem, f_trial, state_trial)
+                except SolverError:
+                    continue  # the dual cannot take the trial: a step too long like any other
+                finally:
+                    del state_trial  # released before the next march
+                break
+            if d_trial is None:
+                pairs.clear()
+        if d_trial is None:
             reason = "line_search_failure"
             break
-        f, cost = f_trial, cost_trial
+        s_pair, y_pair = f_trial.values - f.values, d_trial.values - d.values
+        sy = inner(s_pair, y_pair)
+        if sy > 0.0:
+            pairs.append((s_pair, y_pair, sy))
+            del pairs[:-LBFGS_MEMORY]
+        f, cost, d = f_trial, cost_trial, d_trial
         step_taken = s
-        backtracks_taken = backtrack
+        backtracks_taken = trials - 1
 
     return OptimizeReport(iterates=records, final_control=f, reason=reason)

@@ -113,17 +113,22 @@ def _dense_shifted_laplacian(grid, shift):
 
 
 def _capture_solve_cg(monkeypatch):
-    """Route `linalg.solve_cg` through a wrapper that keeps its operator and
-    preconditioner and counts the operator applies."""
-    captured = {"applies": 0}
+    """Route `linalg.solve_cg` through a wrapper that keeps its operator,
+    preconditioner and offset and counts the operator applies and the
+    preconditioner calls (one per CG iteration)."""
+    captured = {"applies": 0, "preconditions": 0}
 
-    def capture(apply_op, rhs, precond, rtol, x0):
+    def capture(apply_op, rhs, precond, rtol, x0, offset):
         def counted(x):
             captured["applies"] += 1
             return apply_op(x)
 
-        captured.update(apply_op=apply_op, precond=precond)
-        return solve_cg(counted, rhs, precond, rtol=rtol, x0=x0)
+        def counted_precond(r):
+            captured["preconditions"] += 1
+            return precond(r)
+
+        captured.update(apply_op=apply_op, precond=precond, offset=offset)
+        return solve_cg(counted, rhs, counted_precond, rtol=rtol, x0=x0, offset=offset)
 
     monkeypatch.setattr(linalg, "solve_cg", capture)
     return captured
@@ -146,7 +151,7 @@ def test_shifted_solve_operator_and_preconditioner_match_dense_matrix(case, monk
     y = solve_shifted(grid, shift, rhs, rtol=1e-13)
 
     if case == "scalar":  # mean(shift) - lap_h is the operator: the DCT inverse solves
-        assert captured == {"applies": 0}
+        assert captured == {"applies": 0, "preconditions": 0}
         np.testing.assert_allclose(y.ravel(), np.linalg.solve(dense, rhs.ravel()),
                                    rtol=1e-12, atol=0.0)
         return
@@ -155,6 +160,10 @@ def test_shifted_solve_operator_and_preconditioner_match_dense_matrix(case, monk
     np.testing.assert_allclose(np.array(columns).T, dense, rtol=1e-13, atol=1e-12)
     columns = [captured["precond"](e).ravel() for e in units]
     np.testing.assert_allclose(np.array(columns).T, np.linalg.inv(dense_mean), rtol=1e-12)
+    # CG's recurrence takes the operator as the preconditioned one plus the offset
+    np.testing.assert_allclose(dense_mean + np.diag(captured["offset"].ravel()), dense,
+                               rtol=1e-13, atol=1e-12)
+    assert captured["applies"] == 0  # a cold start forms every A p by the recurrence
     np.testing.assert_allclose(y.ravel(), np.linalg.solve(dense, rhs.ravel()),
                                rtol=1e-10, atol=1e-12)
 
@@ -164,7 +173,9 @@ def test_shifted_solve_operator_and_preconditioner_match_dense_matrix(case, monk
 @pytest.mark.parametrize("per_cell", [True, False], ids=["per-cell", "scalar"])
 def test_shifted_solve_iterations_do_not_grow_with_the_mesh(nx, ny, Ly, per_cell, monkeypatch):
     # the shift of a forward density step, 1/tau + mu u_+, at tau = 0.02;
-    # Jacobi needed 43-483 applies here, growing like 1/h
+    # Jacobi needed 43-483 iterations here, growing like 1/h.  CG forms its
+    # operator products by a recurrence, so its preconditioner calls count
+    # the iterations
     grid = GridSpec(Lx=1.0, Ly=Ly, nx=nx, ny=ny)
     X, Y = grid.cell_centers()
     bump = np.exp(-((X - 0.5) ** 2 + (Y - 0.5 * Ly) ** 2) / 0.02)
@@ -174,7 +185,8 @@ def test_shifted_solve_iterations_do_not_grow_with_the_mesh(nx, ny, Ly, per_cell
     captured = _capture_solve_cg(monkeypatch)
     y = solve_shifted(grid, shift, rhs, rtol=1e-10)
 
-    assert captured["applies"] <= (12 if per_cell else 2)
+    assert captured["preconditions"] <= (12 if per_cell else 2)
+    assert captured["applies"] == 0
     residual = shift * y - laplacian_array(y, grid.hx, grid.hy) - rhs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -207,3 +219,24 @@ def test_a_solver_built_once_gives_the_bits_of_fresh_solves(per_cell):
     fresh = [solve_shifted(grid, shift, b, rtol=1e-10, x0=x0) for b in (second, first)]
     for a, b in zip(reused, fresh[::-1]):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("x0", [None, np.ones(12)], ids=["cold", "warm"])
+def test_cg_with_an_offset_applies_the_operator_only_for_a_warm_start(x0):
+    # precond inverts M = A - diag(offset) exactly, so A p = M p + offset p
+    # follows from the recurrence and the solve matches the dense one
+    rng = np.random.default_rng(13)
+    m = _spd_system(12, rng)
+    offset = rng.uniform(0.0, 3.0, size=12)
+    a = m + np.diag(offset)
+    m_inv = np.linalg.inv(m)
+    applies = []
+
+    def apply_op(v):
+        applies.append(v)
+        return a @ v
+
+    b = rng.standard_normal(12)
+    x = solve_cg(apply_op, b, lambda r: m_inv @ r, rtol=1e-12, x0=x0, offset=offset)
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-9, atol=1e-11)
+    assert len(applies) == (0 if x0 is None else 1)

@@ -1,4 +1,4 @@
-"""Cost evaluation, projected-gradient descent, and optimality reporting."""
+"""Cost evaluation, projected L-BFGS descent, and optimality reporting."""
 
 import importlib.util
 import weakref
@@ -8,17 +8,23 @@ import numpy as np
 import pytest
 
 from kscontrol import forward, linalg, optimize
-from kscontrol.adjoint import dual_shifts, solve_adjoint
+from kscontrol.adjoint import solve_adjoint
 from kscontrol.control import (
     AdmissibleSet,
     ControlField,
     CostWeights,
     TrackingTargets,
     qc_norm,
+    qc_weight,
     reduced_gradient,
     vi_residual,
 )
-from kscontrol.errors import LinearSolverError, PicardDivergenceError, StepConditioningError
+from kscontrol.errors import (
+    LinearSolverError,
+    PicardDivergenceError,
+    SolverError,
+    StepConditioningError,
+)
 from kscontrol.forward import (
     ModelParams,
     PicardSettings,
@@ -249,88 +255,170 @@ def test_a_trial_that_clipping_repeats_is_not_marched_again(monkeypatch):
     report = solve(problem, OptimizeOptions(max_iters=20, armijo=ArmijoSettings(s0=1e4)))
     assert all(a != b for a, b in zip(marched, marched[1:]))
     # the report still counts every trial: the initial march and each
-    # accepted search; 10 of those 79 trials repeat and are not marched
+    # accepted search; 10 of those 397 trials repeat and are not marched
     assert report.reason == "max_iters"
     trials = 1 + sum(rec.backtracks + 1 for rec in report.iterates[1:])
-    assert trials == 79 and len(marched) == 69
+    assert trials == 397 and len(marched) == 387
     assert len(marched) == 1 + sum(rec.trial_marches for rec in report.iterates)
     assert len(marched) < trials
 
 
-def _search_steps(monkeypatch):
-    """Patch `optimize` to record, per search, the step of each marched trial
-    (unconstrained: read back from ``f - s d``, exact up to rounding)."""
+def _search_trials(monkeypatch):
+    """Patch `optimize` to record each search as ``[f, d, p, trials]``: the
+    iterate, its gradient, the quasi-Newton direction `_two_loop` gave it
+    (None for a gradient search) and the control of each marched trial."""
     searches = []
+    two_loop = optimize._two_loop
 
     def recording_gradient(problem, f, state):
         d = gradient_of_control(problem, f, state)
-        searches.append((f.values, d.values, []))
+        searches.append([f.values, d.values, None, []])
         return d
+
+    def recording_two_loop(*args):
+        searches[-1][2] = two_loop(*args)
+        return searches[-1][2]
 
     def recording_cost(problem, f, ceiling=np.inf):
         if ceiling < np.inf:  # a trial, not the initial march
-            f_now, d, steps = searches[-1]
-            steps.append(np.vdot(f_now - f.values, d) / np.vdot(d, d))
+            searches[-1][3].append(f.values)
         return cost_of_control(problem, f, ceiling)
 
     monkeypatch.setattr(optimize, "gradient_of_control", recording_gradient)
+    monkeypatch.setattr(optimize, "_two_loop", recording_two_loop)
     monkeypatch.setattr(optimize, "cost_of_control", recording_cost)
     return searches
 
 
-def test_each_search_starts_next_to_the_step_the_last_one_accepted(monkeypatch):
-    # s0 far too long: the first search backtracks from s0, every later one
-    # starts at min(s_accepted / shrink, s0), not at s0 again
+def test_the_first_search_steps_along_d_from_s0_and_later_ones_along_h_d_from_1(monkeypatch):
+    # s0 far too long: the first search backtracks along -d from s0; every
+    # later one has curvature pairs and tries f - shrink^k H d, k = 0, 1, ...
     arm = ArmijoSettings(s0=1e4)
-    searches = _search_steps(monkeypatch)
-    report = solve(_tracking_problem(), OptimizeOptions(max_iters=6, vi_tol=1e-12, armijo=arm))
+    searches = _search_trials(monkeypatch)
+    report = solve(_tracking_problem(), OptimizeOptions(max_iters=12, vi_tol=1e-12, armijo=arm))
     assert report.reason == "max_iters"
-    accepted = [rec.step_size for rec in report.iterates[1:]]
-    steps = [trials for _, _, trials in searches[:len(accepted)]]
-    expected = [arm.s0] + [min(s / arm.shrink, arm.s0) for s in accepted[:-1]]
-    assert any(first < arm.s0 for first in expected[1:])
-    np.testing.assert_allclose([trials[0] for trials in steps], expected, rtol=1e-9)
-    for trials, rec in zip(steps, report.iterates[1:]):
+    cosines = []
+    for k, (rec, (f, d, p, trials)) in enumerate(zip(report.iterates[1:], searches)):
         assert len(trials) == rec.trial_marches == rec.backtracks + 1
-        np.testing.assert_allclose(trials, trials[0] * arm.shrink ** np.arange(len(trials)),
-                                   rtol=1e-9)
-        assert trials[-1] == pytest.approx(rec.step_size, rel=1e-9)
+        if k == 0:
+            assert p is None
+            p, s0 = d, arm.s0
+        else:
+            assert p is not None
+            s0 = 1.0
+            cosines.append(np.vdot(d, p) / (np.linalg.norm(d) * np.linalg.norm(p)))
+        steps = s0 * arm.shrink ** np.arange(len(trials))
+        for s, trial in zip(steps, trials):
+            assert trial.tobytes() == (f - s * p).tobytes()
+        assert rec.step_size == steps[-1]
+    # each later direction descends, and some are far from the gradient's
+    assert all(c > 0.0 for c in cosines) and min(cosines) < 0.95
+    # the first search backtracks, and so does a later one
+    assert report.iterates[1].backtracks >= 1
+    assert any(rec.backtracks >= 1 for rec in report.iterates[2:])
+
+
+def test_a_failed_quasi_newton_search_gives_way_to_the_gradient_search(monkeypatch):
+    # a quasi-Newton search that runs out of backtracks drops the pairs and
+    # the gradient search from s0 runs; only when that fails too does the
+    # solver report line_search_failure
+    arm = ArmijoSettings(s0=1e4, max_backtracks=4)
+    searches = _search_trials(monkeypatch)
+    report = solve(_tracking_problem(), OptimizeOptions(max_iters=20, vi_tol=1e-12, armijo=arm))
+    assert report.reason == "line_search_failure"
+    assert len(searches) == len(report.iterates)  # the last search accepted nothing
+    budget = arm.max_backtracks + 1
+    fell_back = 0
+    for f, d, p, trials in searches[1:]:
+        assert p is not None
+        for k, trial in enumerate(trials[:budget]):
+            assert trial.tobytes() == (f - arm.shrink ** k * p).tobytes()
+        for k, trial in enumerate(trials[budget:]):
+            assert trial.tobytes() == (f - arm.s0 * arm.shrink ** k * d).tobytes()
+        fell_back += len(trials) > budget
+    assert fell_back >= 2  # one gradient search succeeds, the last one fails
+    assert len(searches[-1][3]) == 2 * budget
+    assert report.final_control.values.tobytes() == searches[-1][0].tobytes()
+
+
+def test_a_direction_that_does_not_descend_gives_way_to_the_gradient_search(monkeypatch):
+    # a direction with <d, f - trial> <= 0 predicts no decrease: its trial is
+    # not marched, the pairs are dropped, and the gradient search from s0 runs
+    opts = OptimizeOptions(max_iters=3, vi_tol=1e-12, armijo=ArmijoSettings(s0=1e4))
+    monkeypatch.setattr(optimize, "_two_loop", lambda d, free, pairs, inner: -d)
+    ascent = solve(_tracking_problem(), opts)
+    assert ascent.reason == "max_iters"
+    costs = [rec.cost.j_total for rec in ascent.iterates]
+    assert all(b < a for a, b in zip(costs, costs[1:]))
+    first = ascent.iterates[1]
+    assert first.trial_marches == first.backtracks + 1  # no pairs yet: a gradient search
+    for rec in ascent.iterates[2:]:
+        assert rec.trial_marches == rec.backtracks  # one trial was not marched
+        assert rec.step_size == opts.armijo.s0 * opts.armijo.shrink ** (rec.backtracks - 1)
 
 
 def _reference_solve(problem, opts):
-    """`solve`'s search with every trial marched to the end: the same warm
-    start and clipped-repeat rule, decided on the full cost only."""
+    """`solve` with every trial marched to the end and decided on the full
+    cost only: the same epsilon-active set, direction (`optimize._two_loop`),
+    curvature pairs, clipped-repeat rule and gradient-search fallback."""
     arm, lo, hi = opts.armijo, problem.admissible.f_min, problem.admissible.f_max
     f = problem.initial_control()
+    weight = qc_weight(f)
+
+    def inner(a, b):
+        return weight * float(np.vdot(a, b))
+
     state, cost = cost_of_control(problem, f)
-    records, step, backtracks, marches = [], 0.0, 0, 0
+    d = gradient_of_control(problem, f, state)
+    records, pairs, step, backtracks, marches = [], [], 0.0, 0, 0
     for iteration in range(opts.max_iters + 1):
-        d = gradient_of_control(problem, f, state)
         res = vi_residual(f, d, problem.admissible)
         records.append((iteration, cost, res, step, backtracks, marches))
         if res <= opts.vi_tol or iteration == opts.max_iters:
             break
-        s = min(step / arm.shrink, arm.s0) if iteration else arm.s0
-        previous, marches = b"", 0
-        for backtracks in range(arm.max_backtracks + 1):
-            vals = np.clip(f.values - s * d.values, lo, hi)
-            if vals.tobytes() != previous:
+        searches = [(d.values, arm.s0, False)]
+        if pairs:
+            eps = min(optimize.ACTIVE_EPS, res)
+            active = (((f.values <= lo + eps) & (d.values > 0.0))
+                      | ((f.values >= hi - eps) & (d.values < 0.0)))
+            searches.insert(0, (optimize._two_loop(d.values, ~active, pairs, inner), 1.0, True))
+        trials, marches, found = 0, 0, None
+        for p, s, quasi_newton in searches:
+            previous = b""
+            for k in range(arm.max_backtracks + 1):
+                if k:
+                    s *= arm.shrink
+                trials += 1
+                vals = np.clip(f.values - s * p, lo, hi)
+                if vals.tobytes() == previous:
+                    continue
                 previous = vals.tobytes()
+                if quasi_newton:
+                    decrease = inner(d.values, f.values - vals)
+                    if decrease <= 0.0:
+                        break
+                    ceiling = cost.j_total - arm.c1 * decrease
+                else:
+                    ceiling = cost.j_total - arm.c1 / s * qc_norm(f.values - vals, f) ** 2
                 marches += 1
                 trial = ControlField(f.time_grid, f.region, vals)
                 try:
                     trial_state, trial_cost = cost_of_control(problem, trial)
-                    dual_shifts(trial_state.u[1:], vals, problem.params, problem.time_grid.tau)
-                except (StepConditioningError, PicardDivergenceError, LinearSolverError):
-                    pass
-                else:
-                    decrease = arm.c1 / s * qc_norm(f.values - vals, f) ** 2
-                    if trial_cost.j_total <= cost.j_total - decrease:
+                    if trial_cost.j_total <= ceiling:
+                        found = trial, trial_cost, gradient_of_control(problem, trial, trial_state)
                         break
-            s *= arm.shrink
-        else:
+                except SolverError:
+                    pass
+            if found:
+                break
+            pairs = []
+        if found is None:
             return records, f, "line_search_failure"
-        f, state, cost, step = trial, trial_state, trial_cost, s
+        trial, cost, d_trial = found
+        s_pair, y_pair = trial.values - f.values, d_trial.values - d.values
+        if inner(s_pair, y_pair) > 0.0:
+            pairs = (pairs + [(s_pair, y_pair, inner(s_pair, y_pair))])[-optimize.LBFGS_MEMORY:]
+        f, d, step, backtracks = trial, d_trial, s, trials - 1
     return records, f, "vi_tol" if res <= opts.vi_tol else "max_iters"
 
 
@@ -383,15 +471,16 @@ def test_stopping_trial_marches_early_changes_no_decision(case):
 
 
 def test_trial_marches_stop_once_their_cost_proves_rejection():
-    # the optimize-12 benchmark set-up, where most searches reject trials:
-    # those marches stop before their last level
-    problem = _inverse_crime_problem(12, 8, 0.25)
-    report = solve(problem, OptimizeOptions(max_iters=100, vi_tol=3e-5,
-                                            armijo=ArmijoSettings(s0=2e4)))
+    # an unconstrained tracking problem whose first search, from a step far
+    # too long, rejects trials: those marches stop before their last level
+    problem = _tracking_problem()
+    nt = problem.time_grid.nt
+    report = solve(problem, OptimizeOptions(max_iters=100, vi_tol=1e-6,
+                                            armijo=ArmijoSettings(s0=1e4)))
     assert report.reason == "vi_tol"
-    marches = sum(r.trial_marches for r in report.iterates)
-    levels = sum(r.trial_levels for r in report.iterates)
-    assert levels < problem.time_grid.nt * marches
+    rejecting = [r for r in report.iterates if r.backtracks]
+    assert rejecting
+    assert all(r.trial_levels < nt * r.trial_marches for r in rejecting)
 
 
 def test_cost_of_control_with_a_ceiling_stops_at_the_first_costlier_level():
